@@ -1,0 +1,66 @@
+"""Golden CLI outputs: byte-identical exit codes and stdout.
+
+The pinned grid is `generate` for three sizes, every representation and
+no, one or two Christoffel points, plus one CSV case and
+`verify --suite all`.  Each file under tests/golden/ holds the exit code
+on its first line and the exact stdout after it.  After a deliberate
+output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from kralldh.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SIZES = ((2, 1, 3, "2"), (3, 2, 6, "2,1/2"), (4, 3, 8, "3/2,5,7"))
+REPS = ("basic", "dropped", "shifted", "mirror")
+
+
+def _generate_argv(a, b, N, M, rep, U):
+    argv = ["generate", "--a", str(a), "--b", str(b), "--N", str(N), "--M", M, "--rep", rep]
+    if U:
+        argv.append("--U=" + ",".join(map(str, U)))
+    if rep == "dropped":
+        # drop the lowest row b and its partner a - 1
+        kept = [g for g in range(b, a + b) if g not in (b, a - 1)]
+        argv += ["--G", ",".join(map(str, kept))]
+    return argv
+
+
+def golden_cases() -> dict:
+    cases = {}
+    for a, b, N, M in SIZES:
+        for rep in REPS:
+            for U in ((), (-a - 1,), (-a - 1, N)):
+                name = f"generate_{a}_{b}_{N}_{rep}_U{len(U)}"
+                cases[name] = _generate_argv(a, b, N, M, rep, U)
+    cases["generate_3_2_6_basic_U1_csv"] = _generate_argv(
+        3, 2, 6, "2,1/2", "basic", (-4,)
+    ) + ["--format", "csv"]
+    cases["verify_all"] = ["verify", "--suite", "all"]
+    return cases
+
+
+def run_case(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return f"{code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name,argv", sorted(golden_cases().items()))
+def test_golden_output(name, argv):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert run_case(argv) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(golden_cases().items()):
+        (GOLDEN / f"{name}.txt").write_text(run_case(argv))
