@@ -9,7 +9,6 @@ identities, deformation limits, bispectrality) over the rationals.
 from .exact import (
     IndexSet,
     InexactDivisionError,
-    Matrix,
     PoleAtZeroError,
     Polynomial,
     Rational,
@@ -41,7 +40,6 @@ from .measures import (
     dual_hahn_norm,
     geronimus_factor,
     inner_product,
-    measure_transform,
     nu_basic,
     nu_u_transform,
     rho_transformed,
@@ -51,8 +49,6 @@ from .wpoly import (
     CrossCheckError,
     PsiContext,
     WFamily,
-    aux_poly,
-    psi_table,
     w_family,
     w_poly,
 )

@@ -180,7 +180,7 @@ def _build_family(args) -> Family:
             raise ValueError("--rep dropped needs --G with the kept row indices")
         return construct_dropped_rows(params, rows, U=U, n_max=args.nmax)
     if args.rep == "shifted":
-        return construct_shifted(params, [int(u) for u in U], n_max=args.nmax)
+        return construct_shifted(params, U, n_max=args.nmax)
     if args.rep == "mirror":
         return construct_mirror(params, U=U, n_max=args.nmax)
     raise ValueError(f"unknown representation {args.rep!r}")
@@ -210,6 +210,14 @@ def _emit(records, out) -> int:
     return 0 if all(r.get("pass", False) for r in records) else 1
 
 
+def _size_args(args, a, b, N):
+    """--a --b --N, each falling back to its default only when absent."""
+    return tuple(
+        default if given is None else given
+        for given, default in ((args.a, a), (args.b, b), (args.N, N))
+    )
+
+
 def _gram_record(name, polys, measure, norms, extra=None) -> dict:
     rep = orthogonality_report(polys, measure, norms)
     rec = {"suite": "orthogonality", "case": name, "pass": rep.passed}
@@ -222,7 +230,7 @@ def _suite_orthogonality(args):
     records = []
     cases = (
         [(args.a, args.b, args.N, _parse_fraction_list(args.M))]
-        if args.a
+        if args.a is not None
         else [(1, 1, 2, (Fraction(2),)), (2, 1, 3, (Fraction(2),)), (2, 2, 3, (Fraction(2), Fraction(3)))]
     )
     for a, b, N, M in cases:
@@ -250,9 +258,7 @@ def _suite_orthogonality(args):
 
 def _suite_identities(args):
     records = []
-    a = args.a or 2
-    b = args.b or 1
-    N = args.N or 3
+    a, b, N = _size_args(args, 2, 1, 3)
     M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
     for m in range(0, 3):
         for s in range(m - a + 1, 3):
@@ -281,9 +287,7 @@ def _suite_identities(args):
 
 def _suite_limits(args):
     records = []
-    a = args.a or 2
-    b = args.b or 1
-    N = args.N or 3
+    a, b, N = _size_args(args, 2, 1, 3)
     M = (_parse_fraction_list(args.M) or (Fraction(2),))[0]
     records.append(verify_measure_limit_basic(a, b, N, M).as_record())
     for g in row_range(a, b):
@@ -298,7 +302,7 @@ def _suite_limits(args):
             records.append(verify_evaluation_limit(a, b, N, n, f, M).as_record())
     for n in range(b, b + 3):
         records.append(verify_quotient_identity(a, b, N, n).as_record())
-    U = tuple(int(u) for u in _parse_fraction_list(args.U)) or (1,)
+    U = _parse_fraction_list(args.U) or (1,)
     records.append(verify_measure_limit_transformed(a, b, N, M, U).as_record())
     for r in records:
         r["suite"] = "limits"
@@ -306,11 +310,9 @@ def _suite_limits(args):
 
 
 def _suite_equivalence(args):
-    a = args.a or 2
-    b = args.b or 1
-    N = args.N or 3
+    a, b, N = _size_args(args, 2, 1, 3)
     M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
-    U = tuple(int(u) for u in _parse_fraction_list(args.U)) or (1,)
+    U = _parse_fraction_list(args.U) or (1,)
     params = NuParams(a, b, N, M)
     f_direct = construct_basic(params, U=U)
     f_shift = construct_shifted(params, U)
@@ -327,7 +329,8 @@ def _suite_equivalence(args):
     return [
         {
             "suite": "equivalence",
-            "params": {"a": a, "b": b, "N": N, "U": list(U)},
+            # the points are integers: construct_shifted rejects any other
+            "params": {"a": a, "b": b, "N": N, "U": [int(u) for u in U]},
             "sizes": list(sizes),
             "pass": ok,
         }
@@ -335,14 +338,15 @@ def _suite_equivalence(args):
 
 
 def _suite_sizes(args):
-    if not args.a:
+    if None in (args.a, args.b, args.N):
         raise ValueError("--suite sizes needs --a --b --N --U")
-    U = tuple(int(u) for u in _parse_fraction_list(args.U))
+    U = _parse_fraction_list(args.U)
     sizes = determinant_sizes(args.a, args.b, args.N, U)
     return [
         {
             "suite": "sizes",
-            "params": {"a": args.a, "b": args.b, "N": args.N, "U": list(U)},
+            # the points are integers: determinant_sizes rejects any other
+            "params": {"a": args.a, "b": args.b, "N": args.N, "U": [int(u) for u in U]},
             "sizes": list(sizes),
             "pass": True,
         }
@@ -350,9 +354,7 @@ def _suite_sizes(args):
 
 
 def _suite_operator(args):
-    a = args.a or 1
-    b = args.b or 1
-    N = args.N or 3
+    a, b, N = _size_args(args, 1, 1, 3)
     M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
     r = a * b + 1
     n_max = 2 * r + 2
@@ -376,9 +378,9 @@ def _suite_operator(args):
 
 def _suite_flip(args):
     records = []
-    pairs = [(args.a, args.b)] if args.a else [(1, 2), (1, 3), (2, 3)]
+    pairs = [(args.a, args.b)] if args.a is not None else [(1, 2), (1, 3), (2, 3)]
     for a, b in pairs:
-        N = args.N or max(a, b) + 1
+        N = max(a, b) + 1 if args.N is None else args.N
         M = _parse_fraction_list(args.M) or tuple(
             Fraction(2) + i for i in range(min(a, b))
         )

@@ -20,7 +20,7 @@ along that row; the numeric minors are evaluated fraction-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -28,7 +28,6 @@ from .exact import (
     IndexSet,
     InexactDivisionError,
     Polynomial,
-    as_scalar,
     det_exact,
     det_with_poly_row,
     involution,
@@ -38,6 +37,7 @@ from .classical import dual_hahn_poly, lambda_map
 from .measures import (
     DiscreteMeasure,
     NuParams,
+    check_pair_condition,
     christoffel_measure,
     inner_product,
     nu_basic,
@@ -90,13 +90,56 @@ def _cached_dual_hahn(a, b, N):
     return get
 
 
-def _validate_pair_condition(a: int, b: int, U) -> tuple:
-    U = tuple(as_scalar(u) for u in U)
-    for u in U:
-        for v in U:
-            if u + v == -a - b - 1:
-                raise ValueError(f"root doubling: ({u}) + ({v}) = -a-b-1")
-    return U
+def _standard_params(params: NuParams) -> tuple:
+    if params.orientation != "standard":
+        raise ValueError("constructions are stated for the standard orientation")
+    return params.a, params.b, params.N, params.free
+
+
+def _determinantal_family(
+    measure, n_max, k, column, top, lead_col, divisor, lead, norm, extend=False
+):
+    """The determinantal engine shared by the three representations.
+
+    ``column(n, c)`` is column c (0..k) of the k x (k+1) numeric block of
+    degree n, one entry per auxiliary row and per Christoffel point;
+    ``top(n)`` is the polynomial row, whose highest-degree entry sits in
+    column ``lead_col``.  The block without that column is the leading
+    minor phi_n.  The degree-n polynomial is the cofactor expansion along
+    the polynomial row, divided exactly by ``divisor``; its leading
+    coefficient must be ``lead(n, phi_n)`` and its squared norm is
+    ``norm(n, phi_n, phi_{n+1})``.  Beyond the support (only with
+    ``extend``) a minor may vanish and no norm is given.
+
+    Returns (polys, phis, norms).
+    """
+    n_support = len(measure.atoms)
+    if n_max is None:
+        n_max = n_support - 1
+    if not extend and n_max > n_support - 1:
+        raise ValueError("n_max exceeds the support size of the measure")
+
+    def block(n, skip=None):
+        cols = [column(n, c) for c in range(k + 1) if c != skip]
+        return [list(row) for row in zip(*cols)]
+
+    blocks = [block(n) for n in range(n_max + 1)]
+    minors = [[row[:lead_col] + row[lead_col + 1 :] for row in blk] for blk in blocks]
+    minors.append(block(n_max + 1, skip=lead_col))
+    phis = [det_exact(minor) for minor in minors]
+    polys, norms = [], []
+    for n in range(n_max + 1):
+        if not phis[n] and n < n_support:
+            raise FamilyExistenceError(f"leading minor vanishes at n = {n}")
+        q = det_with_poly_row(top(n), blocks[n]).divexact(divisor)
+        if phis[n] and (q.degree != n or q.leading() != lead(n, phis[n])):
+            raise InexactDivisionError(
+                f"degree-{n} polynomial has wrong degree or leading coefficient"
+            )
+        polys.append(q)
+        # no norm beyond the support: orthogonality only holds there
+        norms.append(norm(n, phis[n], phis[n + 1]) if n < n_support else None)
+    return polys, phis, norms
 
 
 def construct_selected_rows(params: NuParams, G, U=(), n_max=None, extend=False) -> Family:
@@ -107,10 +150,8 @@ def construct_selected_rows(params: NuParams, G, U=(), n_max=None, extend=False)
     orthogonality measure is the basic measure times the Christoffel
     factors of U and of the dropped rows' points.
     """
-    if params.orientation != "standard":
-        raise ValueError("constructions are stated for the standard orientation")
-    a, b, N, free = params.a, params.b, params.N, params.free
-    U = _validate_pair_condition(a, b, U)
+    a, b, N, free = _standard_params(params)
+    U = check_pair_condition(a, b, U)
     all_rows = list(row_range(a, b))
     G = sorted(G)
     if any(g not in all_rows for g in G):
@@ -127,91 +168,36 @@ def construct_selected_rows(params: NuParams, G, U=(), n_max=None, extend=False)
     R = _cached_dual_hahn(a, b, N)
     u_points = [lambda_map(a, b, u) for u in U]
 
-    base = nu_basic(params)
     factor = Polynomial.from_roots(
         u_points + [lambda_map(a, b, -h - 1) for h in dropped]
     )
-    measure = christoffel_measure(base, factor)
+    measure = christoffel_measure(nu_basic(params), factor)
     if not measure.atoms:
         raise ValueError("transform annihilated the whole measure")
-    if n_max is None:
-        n_max = len(measure.atoms) - 1
-    if not extend and n_max > len(measure.atoms) - 1:
-        raise ValueError("n_max exceeds the support size of the measure")
 
-    def phi_minor(n: int) -> Fraction:
-        rows = []
-        for g in G:
-            rows.append(
-                [
-                    pochhammer(Fraction(b + N - n - n_u + j + 1), a + n_u - j)
-                    * wfam[g](Fraction(-n - n_u + j - 1))
-                    for j in range(1, n_g + n_u + 1)
-                ]
-            )
-        for u, pt in zip(U, u_points):
-            rows.append(
-                [
-                    Fraction((-1) ** j) * R(n + n_u - j)(pt)
-                    for j in range(1, n_g + n_u + 1)
-                ]
-            )
-        return det_exact(rows)
+    def column(n, c):
+        return [
+            pochhammer(Fraction(b + N - n - n_u + c + 1), a + n_u - c)
+            * wfam[g](Fraction(c - n - n_u - 1))
+            for g in G
+        ] + [Fraction((-1) ** c) * R(n + n_u - c)(pt) for pt in u_points]
 
-    divisor = Polynomial.from_roots(u_points)
-    phis, polys, norms = [], [], []
-    for n in range(n_max + 2):
-        phis.append(phi_minor(n))
-    for n in range(n_max + 1):
-        beyond_support = n > len(measure.atoms) - 1
-        if not phis[n] and not (extend and beyond_support):
-            raise FamilyExistenceError(f"leading minor vanishes at n = {n}")
-        top = [
-            Fraction((-1) ** (j - 1)) * R(n + n_u - j + 1) for j in range(1, n_g + n_u + 2)
-        ]
-        rest = []
-        for g in G:
-            rest.append(
-                [
-                    pochhammer(Fraction(b + N - n - n_u + j), a + n_u + 1 - j)
-                    * wfam[g](Fraction(-n - n_u + j - 2))
-                    for j in range(1, n_g + n_u + 2)
-                ]
-            )
-        for u, pt in zip(U, u_points):
-            rest.append(
-                [
-                    Fraction((-1) ** (j - 1)) * R(n + n_u - j + 1)(pt)
-                    for j in range(1, n_g + n_u + 2)
-                ]
-            )
-        numerator = det_with_poly_row(top, rest)
-        q = numerator.divexact(divisor)
-        if phis[n] and (
-            q.degree != n or q.leading() != phis[n] / factorial(n + n_u)
-        ):
-            raise InexactDivisionError(
-                f"degree-{n} polynomial has wrong leading coefficient"
-            )
-        polys.append(q)
-        # no norm beyond the support: orthogonality only holds there
-        if n <= len(measure.atoms) - 1:
-            norms.append(_selected_norm(a, b, N, n, n_u, n_g, phis[n], phis[n + 1]))
-        else:
-            norms.append(None)
-    phis = phis[: n_max + 2]
+    def top(n):
+        return [Fraction((-1) ** c) * R(n + n_u - c) for c in range(n_g + n_u + 1)]
 
-    fam = Family(
-        representation="direct",
-        params=params,
-        U=U,
-        rows=tuple(G),
-        polys=polys,
-        phis=phis,
-        norms=norms,
-        measure=measure,
+    polys, phis, norms = _determinantal_family(
+        measure,
+        n_max,
+        k=n_g + n_u,
+        column=column,
+        top=top,
+        lead_col=0,
+        divisor=Polynomial.from_roots(u_points),
+        lead=lambda n, phi: phi / factorial(n + n_u),
+        norm=lambda n, phi, phi1: _selected_norm(a, b, N, n, n_u, n_g, phi, phi1),
+        extend=extend,
     )
-    return fam
+    return Family("direct", params, U, tuple(G), polys, phis, norms, measure)
 
 
 def _selected_norm(a, b, N, n, n_u, n_g, phi_n, phi_n1) -> Fraction:
@@ -279,18 +265,8 @@ def construct_basic(params: NuParams, U=(), n_max=None, extend=False) -> Family:
             )
         else:
             norms_plain.append(None)
-    return Family(
-        representation=fam.representation,
-        params=fam.params,
-        U=fam.U,
-        rows=fam.rows,
-        polys=fam.polys,
-        phis=fam.phis,
-        norms=fam.norms,
-        measure=fam.measure,
-        polys_plain=polys_plain,
-        phis_plain=phis_plain,
-        norms_plain=norms_plain,
+    return replace(
+        fam, polys_plain=polys_plain, phis_plain=phis_plain, norms_plain=norms_plain
     )
 
 
@@ -303,16 +279,7 @@ def construct_dropped_rows(params: NuParams, G, U=(), n_max=None) -> Family:
     resulting measure.
     """
     fam = construct_selected_rows(params, G, U, n_max)
-    return Family(
-        representation="dropped-rows",
-        params=fam.params,
-        U=fam.U,
-        rows=fam.rows,
-        polys=fam.polys,
-        phis=fam.phis,
-        norms=fam.norms,
-        measure=fam.measure,
-    )
+    return replace(fam, representation="dropped-rows")
 
 
 @dataclass(frozen=True)
@@ -339,12 +306,18 @@ class AltParams:
 def alt_params(a: int, b: int, N: int, U) -> AltParams:
     """Derive the shifted parameters for integer Christoffel points.
 
-    Every u must hit a removable support point (the index -1 and the
-    deep-reflected representatives are rejected: the merged index set
-    must consist of positive integers).
+    Needs 1 <= b <= a <= N.  Every u must be an integer hitting a
+    removable support point (the index -1 and the deep-reflected
+    representatives are rejected: the merged index set must consist of
+    positive integers).
     """
+    if not 1 <= b <= a <= N:
+        raise ValueError("the shifted parameters need 1 <= b <= a <= N")
+    U = check_pair_condition(a, b, U)
+    for u in U:
+        if u.denominator != 1:
+            raise ValueError(f"point {u} is not an integer")
     U = [int(u) for u in U]
-    _validate_pair_condition(a, b, U)
     allowed = set(range(-a - b + 1, -a)) | set(range(-b, -1)) | set(range(0, N + 1))
     for u in U:
         if u not in allowed:
@@ -370,13 +343,18 @@ def determinant_sizes(a: int, b: int, N: int, U) -> tuple:
 def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     """Second representation: shifted parameters and translated argument.
 
-    Valid for integer Christoffel points only; orthogonal with respect to
-    the same transformed measure as the direct representation.
+    Valid for integer Christoffel points only, each merged index distinct:
+    a repeated point, or one in -b..-2 (which lands on the parameter
+    block), is rejected.  Orthogonal with respect to the same transformed
+    measure as the direct representation.
     """
-    if params.orientation != "standard":
-        raise ValueError("constructions are stated for the standard orientation")
-    a, b, N, free = params.a, params.b, params.N, params.free
+    a, b, N, free = _standard_params(params)
     alt = alt_params(a, b, N, U)
+    if len(alt.F_merged) != b + len(U):
+        raise ValueError(
+            "the shifted representation needs distinct merged indices: "
+            "a point repeats or lies in -b..-2"
+        )
     aU, bU, NU = alt.a_alt, alt.b_alt, alt.N_alt
     rows = list(alt.G_rows)
     n_g = len(rows)
@@ -384,47 +362,22 @@ def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     wfam = w_family(aU, bU, NU, free, rows=rows)
     R = _cached_dual_hahn(aU, bU, NU)
     measure = nu_u_transform(params, U).measure
-    if n_max is None:
-        n_max = len(measure.atoms) - 1
-    if n_max > len(measure.atoms) - 1:
-        raise ValueError("n_max exceeds the support size of the measure")
-
-    def phi_minor(n: int) -> Fraction:
-        return det_exact(
-            [
-                [wfam[g](Fraction(-n + j - 1)) for j in range(1, n_g + 1)]
-                for g in rows
-            ]
-        )
-
     shift = Polynomial((-alt.s_shift, 1))
-    phis, polys, norms = [], [], []
-    for n in range(n_max + 2):
-        phis.append(phi_minor(n))
-    for n in range(n_max + 1):
-        if not phis[n]:
-            raise FamilyExistenceError(f"leading minor vanishes at n = {n}")
-        top = []
-        for j in range(1, n_g + 2):
-            top.append(
-                R(n - j + 1).compose(shift)
-                * (
-                    Fraction((-1) ** (j - 1))
-                    / pochhammer(Fraction(b + N - n + j), n_g + 1 - j)
-                )
-            )
-        rest = [
-            [wfam[g](Fraction(-n + j - 2)) for j in range(1, n_g + 2)]
-            for g in rows
+
+    def column(n, c):
+        return [wfam[g](Fraction(c - n - 1)) for g in rows]
+
+    def top(n):
+        return [
+            R(n - c).compose(shift)
+            * (Fraction((-1) ** c) / pochhammer(Fraction(b + N - n + c + 1), n_g - c))
+            for c in range(n_g + 1)
         ]
-        q = det_with_poly_row(top, rest)
-        lead = phis[n] / (pochhammer(Fraction(b + N - n + 1), n_g) * factorial(n))
-        if q.degree != n or q.leading() != lead:
-            raise FamilyExistenceError(f"degree defect at n = {n}")
-        polys.append(q)
-        norms.append(
-            phis[n]
-            * phis[n + 1]
+
+    def norm(n, phi, phi1):
+        return (
+            phi
+            * phi1
             * factorial(n + n_u)
             * Fraction(factorial(N + b)) ** 2
             * factorial(N + b - n)
@@ -434,16 +387,20 @@ def construct_shifted(params: NuParams, U, n_max=None) -> Family:
                 * Fraction(factorial(N + b - n + n_g)) ** 2
             )
         )
-    return Family(
-        representation="shifted",
-        params=params,
-        U=tuple(Fraction(u) for u in U),
-        rows=tuple(rows),
-        polys=polys,
-        phis=phis,
-        norms=norms,
-        measure=measure,
+
+    polys, phis, norms = _determinantal_family(
+        measure,
+        n_max,
+        k=n_g,
+        column=column,
+        top=top,
+        lead_col=0,
+        divisor=Polynomial.one(),
+        lead=lambda n, phi: phi / (pochhammer(Fraction(b + N - n + 1), n_g) * factorial(n)),
+        norm=norm,
     )
+    U = tuple(Fraction(u) for u in U)
+    return Family("shifted", params, U, tuple(rows), polys, phis, norms, measure)
 
 
 def construct_mirror(params: NuParams, U=(), n_max=None) -> Family:
@@ -453,83 +410,52 @@ def construct_mirror(params: NuParams, U=(), n_max=None) -> Family:
     N slot, evaluated on the reflected side; the polynomial row holds dual
     Hahn polynomials with a and b exchanged.
     """
-    if params.orientation != "standard":
-        raise ValueError("constructions are stated for the standard orientation")
-    a, b, N, free = params.a, params.b, params.N, params.free
-    U = _validate_pair_condition(a, b, U)
+    a, b, N, free = _standard_params(params)
+    U = check_pair_condition(a, b, U)
     n_u = len(U)
+    rows = range(a, a + b)
     inv_free = tuple(1 / m for m in free)
-    wmir = w_family(a, b, -2 - N - a - b, inv_free, rows=range(a, a + b))
+    wmir = w_family(a, b, -2 - N - a - b, inv_free, rows=rows)
     R = _cached_dual_hahn(b, a, N)
     u_points = [lambda_map(a, b, u) for u in U]
     measure = nu_u_transform(params, U).measure if U else nu_basic(params)
-    if n_max is None:
-        n_max = len(measure.atoms) - 1
-    if n_max > len(measure.atoms) - 1:
-        raise ValueError("n_max exceeds the support size of the measure")
 
-    def psi_minor(n: int) -> Fraction:
-        rows = []
-        for f in range(a, a + b):
-            rows.append(
-                [
-                    pochhammer(Fraction(-N - a - b), n + j - 1)
-                    * wmir[f](Fraction(N + a + b - n - j + 1))
-                    for j in range(1, b + n_u + 1)
-                ]
-            )
-        for pt in u_points:
-            rows.append(
-                [R(n - b + j - 1)(pt) for j in range(1, b + n_u + 1)]
-            )
-        return det_exact(rows)
+    def column(n, c):
+        return [
+            pochhammer(Fraction(-N - a - b), n + c)
+            * wmir[f](Fraction(N + a + b - n - c))
+            for f in rows
+        ] + [R(n - b + c)(pt) for pt in u_points]
 
-    divisor = Polynomial.from_roots(u_points)
-    phis, polys, norms = [], [], []
-    for n in range(n_max + 2):
-        phis.append(psi_minor(n))
-    for n in range(n_max + 1):
-        if not phis[n]:
-            raise FamilyExistenceError(f"leading minor vanishes at n = {n}")
-        top = [R(n - b + j - 1) for j in range(1, b + n_u + 2)]
-        rest = []
-        for f in range(a, a + b):
-            rest.append(
-                [
-                    pochhammer(Fraction(-N - a - b), n + j - 1)
-                    * wmir[f](Fraction(N + a + b - n - j + 1))
-                    for j in range(1, b + n_u + 2)
-                ]
-            )
-        for pt in u_points:
-            rest.append([R(n - b + j - 1)(pt) for j in range(1, b + n_u + 2)])
-        q = det_with_poly_row(top, rest).divexact(divisor)
-        lead = Fraction((-1) ** (b + n_u)) * phis[n] / factorial(n + n_u)
-        if q.degree != n or q.leading() != lead:
-            raise FamilyExistenceError(f"degree defect at n = {n}")
-        polys.append(q)
-        norms.append(
+    def top(n):
+        return [R(n - b + c) for c in range(b + n_u + 1)]
+
+    def norm(n, phi, phi1):
+        return (
             factorial(n)
             * pochhammer(Fraction(-N - a - b), n) ** 2
             * pochhammer(Fraction(N + b + 1 - n), a)
-            * phis[n]
-            * phis[n + 1]
+            * phi
+            * phi1
             / (
                 Fraction((-1) ** (n_u + b))
                 * factorial(n + n_u)
                 * pochhammer(Fraction(N + b + 1), a) ** 2
             )
         )
-    return Family(
-        representation="mirror",
-        params=params,
-        U=U,
-        rows=tuple(range(a, a + b)),
-        polys=polys,
-        phis=phis,
-        norms=norms,
-        measure=measure,
+
+    polys, phis, norms = _determinantal_family(
+        measure,
+        n_max,
+        k=b + n_u,
+        column=column,
+        top=top,
+        lead_col=b + n_u,
+        divisor=Polynomial.from_roots(u_points),
+        lead=lambda n, phi: Fraction((-1) ** (b + n_u)) * phi / factorial(n + n_u),
+        norm=norm,
     )
+    return Family("mirror", params, U, tuple(rows), polys, phis, norms, measure)
 
 
 def recurrence_coeffs(fam: Family, n: int):

@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, rational-function and matrix primitives.
+"""Exact scalar, polynomial and rational-function primitives.
 
 Every quantity in this package is an exact rational number
 (``fractions.Fraction``), a dense univariate polynomial over such numbers,
@@ -11,8 +11,7 @@ Representation conventions:
 * a polynomial is a tuple of coefficients in ascending degree with no
   trailing zeros, the zero polynomial being the empty tuple;
 * a rational function is a reduced quotient ``num/den`` of polynomials in
-  ``s`` with monic denominator, so equality testing is structural;
-* matrices are small, dense and row major.
+  ``s`` with monic denominator, so equality testing is structural.
 """
 
 from __future__ import annotations
@@ -442,9 +441,6 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def is_regular_at_zero(self) -> bool:
-        return bool(self.den(Fraction(0)))
-
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -475,45 +471,14 @@ def derivative_at_zero(f) -> Fraction:
     return limit_at_zero(f.derivative())
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Small dense row-major matrix of exact scalars."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows * self.cols != len(self.entries):
-            raise ValueError("entry count does not match matrix shape")
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged matrix rows")
-        return cls(len(rows), ncols, tuple(c for r in rows for c in r))
-
-    def to_rows(self):
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i * self.cols + j]
-
-
 def det_exact(matrix) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Accepts a Matrix or a list of rows.  Intermediate entries are minors of
-    the input, which bounds coefficient blow-up; works over any exact field
+    Takes a list of rows.  Intermediate entries are minors of the input,
+    which bounds coefficient blow-up; works over any exact field
     (Fractions, or rational functions in s).
     """
-    rows = matrix.to_rows() if isinstance(matrix, Matrix) else [list(r) for r in matrix]
+    rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")

@@ -94,16 +94,6 @@ def christoffel_measure(measure: DiscreteMeasure, r: Polynomial) -> DiscreteMeas
     return DiscreteMeasure(measure.a, measure.b, tuple(atoms))
 
 
-def measure_transform(measure: DiscreteMeasure, kind: str, arg) -> DiscreteMeasure:
-    """Dispatching front end: kind is "translate" (arg: int) or
-    "christoffel" (arg: Polynomial in the point variable)."""
-    if kind == "translate":
-        return translate_measure(measure, int(arg))
-    if kind == "christoffel":
-        return christoffel_measure(measure, arg)
-    raise ValueError(f"unknown measure transform {kind!r}")
-
-
 def inner_product(p: Polynomial, q: Polynomial, measure: DiscreteMeasure):
     """Exact integral of p*q against the measure."""
     total = Fraction(0)
@@ -231,6 +221,18 @@ def geronimus_factor(params: NuParams) -> Polynomial:
     )
 
 
+def check_pair_condition(a: int, b: int, U) -> tuple:
+    """The points of U as exact scalars, after checking that no two of
+    them (or one taken twice) sum to -a-b-1: their Christoffel factors
+    would share a root, squaring it."""
+    U = tuple(as_scalar(u) for u in U)
+    for u in U:
+        for v in U:
+            if u + v == -a - b - 1:
+                raise ValueError(f"root doubling: ({u}) + ({v}) = -a-b-1")
+    return U
+
+
 class NuU(NamedTuple):
     measure: DiscreteMeasure
     n_support: int
@@ -260,11 +262,7 @@ def nu_u_transform(params: NuParams, U) -> NuU:
     if params.orientation != "standard":
         raise ValueError("transforms are defined on the standard orientation")
     a, b = params.a, params.b
-    U = tuple(as_scalar(u) for u in U)
-    for u in U:
-        for v in U:
-            if u + v == -a - b - 1:
-                raise ValueError(f"(u, v) = ({u}, {v}) sums to -a-b-1")
+    U = check_pair_condition(a, b, U)
     base = nu_basic(params)
     factor = Polynomial.from_roots([lambda_map(a, b, u) for u in U])
     out = christoffel_measure(base, factor)

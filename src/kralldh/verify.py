@@ -435,12 +435,13 @@ def verify_measure_limit_transformed(a: int, b: int, N: int, M, U) -> IdentityRe
     """
     M = Fraction(M)
     alt = alt_params(a, b, N, U)
+    U = tuple(int(u) for u in U)  # integers: alt_params rejects any other point
     a_s, b_s = deformed_parameters(alt.a_alt, alt.b_alt, M)
     lim = limit_of_measure(
         rho_transformed(a_s, b_s, alt.N_alt, alt.F_merged), alt.a_alt, alt.b_alt
     )
     nuU = nu_u_transform(NuParams(a, b, N, (M,) * b), U).measure
-    t = max(-1, max((int(u) for u in U), default=-1)) + 1
+    t = max(-1, max(U, default=-1)) + 1
     shifted = tuple(i + t for i in lim.indices)
     constant = None
     masses_match = False

@@ -399,57 +399,6 @@ def _psi_context_cached(cls, a2, b2, N2, free, rows) -> "PsiContext":
     return cls(a2, b2, N2, wfam, anchor, defl, cond)
 
 
-def aux_poly(variant: str, a, b, rows=None):
-    """Anchor polynomial of a representation plus its deflations.
-
-    Variants: "basic" (rows default to the full basic range; double roots
-    get deflations), "merged" (explicit row set, e.g. an involution image,
-    with deflations where doubled), "mirror" (the shifted anchor with all
-    roots simple; no deflations).  Returns (polynomial, deflation dict).
-    """
-    if variant == "mirror":
-        return mirror_anchor_poly(a, b), {}
-    if variant == "basic":
-        rows = tuple(row_range(a, b))
-    elif variant == "merged":
-        rows = tuple(rows)
-    else:
-        raise ValueError(f"unknown anchor variant {variant!r}")
-    anchor = anchor_poly(a, b, rows)
-    return anchor, anchor_deflations(a, b, rows, anchor)
-
-
-def psi_table(variant: str, a: int, b: int, N, free=(), rows=None, m_max: int = 0):
-    """Table of row functionals evaluated on monomials up to m_max.
-
-    Variants: "basic" and "transformed" go through the full three-regime
-    functionals; "plain" is the simple-root generic-parameter form;
-    "mirror" the shifted-anchor form.  Keys are (row, power).
-    """
-    table = {}
-    if variant in ("basic", "transformed"):
-        ctx = PsiContext.build(a, b, N, free, rows=rows)
-        the_rows = rows if rows is not None else row_range(a, b)
-        for g in the_rows:
-            for m in range(m_max + 1):
-                table[(g, m)] = ctx.value_power(g, m)
-        return table
-    if variant == "plain":
-        anchor = anchor_poly(a, b, tuple(rows))
-        for g in rows:
-            for m in range(m_max + 1):
-                table[(g, m)] = psi_plain(g, m, a, b, N, anchor)
-        return table
-    if variant == "mirror":
-        inv = tuple(1 / as_scalar(x) for x in free)
-        wmir = w_family(a, b, -2 - as_scalar(N) - a - b, inv, rows=range(a, a + b))
-        for f in range(a, a + b):
-            for m in range(m_max + 1):
-                table[(f, m)] = psi_mirror(f, m, a, b, N, wmir)
-        return table
-    raise ValueError(f"unknown functional variant {variant!r}")
-
-
 def psi_plain(g: int, m: int, a2, b2, N, anchor: Polynomial) -> Fraction:
     """Row functional for generic parameters (all anchor roots simple)."""
     ev = lambda_map(a2, b2, -g - 1)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kralldh.cli import family_from_json, family_to_json, main
 from kralldh.constructors import construct_basic
 from kralldh.measures import NuParams
@@ -121,3 +123,31 @@ def test_missing_required_flags(capsys):
     code, _, err = run_cli(capsys, "generate", "--a", "1", "--b", "1")
     assert code == 2
     assert "generate needs" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # non-integer points are rejected, never truncated to an integer
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2",
+          "--rep", "shifted", "--U", "1/2"], "not an integer"),
+        (["verify", "--suite", "sizes", "--a", "2", "--b", "1", "--N", "3",
+          "--U", "1/2"], "not an integer"),
+        (["verify", "--suite", "limits", "--U", "1/2"], "not an integer"),
+        (["verify", "--suite", "equivalence", "--U", "1/2"], "not an integer"),
+        # an explicit 0 is a value, not an absent flag
+        (["verify", "--suite", "identities", "--a", "0", "--b", "1", "--N", "3"],
+         "1 <= min(a,b)"),
+        (["verify", "--suite", "sizes", "--a", "0", "--b", "1", "--N", "3"],
+         "1 <= b <= a <= N"),
+        # colliding merged indices in the shifted representation
+        (["generate", "--a", "4", "--b", "3", "--N", "8", "--M", "2,3,4",
+          "--rep", "shifted", "--U=-3"], "distinct merged indices"),
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2",
+          "--rep", "shifted", "--U", "1,1"], "distinct merged indices"),
+    ],
+)
+def test_invalid_configuration_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err

@@ -142,6 +142,25 @@ def test_alt_params_rejects_unremovable_points():
         alt_params(2, 1, 3, (4,))  # beyond the support
     with pytest.raises(ValueError):
         alt_params(3, 1, 4, (-2,))  # a point with no atom at all
+    with pytest.raises(ValueError, match="not an integer"):
+        alt_params(2, 1, 3, (F(1, 2),))  # never truncated to 0
+    with pytest.raises(ValueError, match="1 <= b <= a <= N"):
+        alt_params(0, 1, 3, ())
+
+
+@pytest.mark.parametrize(
+    "a,b,N,U",
+    [
+        (4, 3, 8, (-3,)),  # -b lands on the parameter block
+        (4, 3, 8, (-2,)),
+        (3, 2, 6, (-2,)),
+        (2, 1, 3, (1, 1)),  # a repeated point
+    ],
+)
+def test_shifted_rejects_colliding_points(a, b, N, U):
+    params = NuParams(a, b, N, tuple(F(2) + i for i in range(b)))
+    with pytest.raises(ValueError, match="distinct merged indices"):
+        construct_shifted(params, U)
 
 
 def test_determinant_sizes_triple():

@@ -1,4 +1,4 @@
-"""Core exact-arithmetic primitives: scalars, polynomials, matrices, sets."""
+"""Core exact-arithmetic primitives: scalars, polynomials, determinants, sets."""
 
 from fractions import Fraction as F
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kralldh.exact import (
     IndexSet,
-    Matrix,
     PoleAtZeroError,
     Polynomial,
     RationalFunction,
@@ -99,13 +98,6 @@ def test_det_agrees_with_cofactor(n, data):
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det_exact([[F(1), F(2)]])
-
-
-def test_matrix_shape_invariant():
-    with pytest.raises(ValueError):
-        Matrix(2, 2, (F(1), F(2), F(3)))
-    m = Matrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
-    assert m[1, 0] == 3 and det_exact(m) == -2
 
 
 def test_det_with_poly_row_matches_scalar_case():

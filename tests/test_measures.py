@@ -16,7 +16,6 @@ from kralldh.measures import (
     geronimus_factor,
     inner_product,
     killed_region,
-    measure_transform,
     nu_basic,
     nu_u_transform,
     rho_transformed,
@@ -69,8 +68,8 @@ def test_measure_undefined_for_forbidden_parameters():
 
 def test_transforms_basics():
     mu = dual_hahn_measure(1, 1, 2)
-    assert measure_transform(mu, "translate", 0) == mu
-    assert measure_transform(mu, "christoffel", Polynomial.one()) == mu
+    assert translate_measure(mu, 0) == mu
+    assert christoffel_measure(mu, Polynomial.one()) == mu
     shifted = translate_measure(mu, 1)
     assert shifted.indices == (-1, 0, 1)
     assert shifted.mass_at_index(-1) == mu.mass_at_index(0)

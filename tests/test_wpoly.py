@@ -21,6 +21,8 @@ from kralldh.wpoly import (
     mirror_anchor_poly,
     pairing_condition_set,
     param_range,
+    psi_mirror,
+    psi_plain,
     row_range,
     u_correction,
     w_family,
@@ -215,26 +217,21 @@ def test_w_poly_rejects_wrong_orientation():
         w_poly(1, 2, 1, 3, (F(2),), orientation="flipped")
 
 
-def test_aux_poly_dispatch():
-    from kralldh.wpoly import aux_poly
-
-    P, defl = aux_poly("basic", 3, 1)
-    assert P == anchor_poly(3, 1, row_range(3, 1))
-    assert sorted(defl) == [1, 2]
-    Q, d2 = aux_poly("mirror", 2, 1)
-    assert Q == mirror_anchor_poly(2, 1) and d2 == {}
-    p, d3 = aux_poly("merged", 2, 1, rows=(1, 3, 4))
-    assert p == anchor_poly(2, 1, (1, 3, 4))
-    with pytest.raises(ValueError):
-        aux_poly("nonsense", 2, 1)
+def test_anchor_polys_and_deflations():
+    rows = row_range(3, 1)
+    P = anchor_poly(3, 1, rows)
+    assert sorted(anchor_deflations(3, 1, rows, P)) == [1, 2]
+    assert mirror_anchor_poly(2, 1).degree == 1
+    merged = anchor_poly(2, 1, (1, 3, 4))
+    assert merged.degree == 3
+    assert anchor_deflations(2, 1, (1, 3, 4), merged) == {}
 
 
-def test_psi_table_variants():
-    from kralldh.wpoly import psi_table
-
-    basic = psi_table("basic", 2, 1, 2, free=(F(2),), m_max=1)
-    assert basic[(1, 0)] == F(-1, 4) and basic[(2, 1)] == F(-3, 20)
-    plain = psi_table("plain", F(7, 2), F(5, 2), 3, rows=(1, 2), m_max=0)
-    assert set(plain) == {(1, 0), (2, 0)}
-    mirror = psi_table("mirror", 2, 1, F(3), free=(F(2),), m_max=0)
-    assert set(mirror) == {(2, 0)}
+def test_row_functional_variants():
+    ctx = PsiContext.build(2, 1, 2, (F(2),))
+    assert ctx.value_power(1, 0) == F(-1, 4) and ctx.value_power(2, 1) == F(-3, 20)
+    a2, b2, rows = F(7, 2), F(5, 2), (1, 2)
+    anchor = anchor_poly(a2, b2, rows)
+    assert [psi_plain(g, 0, a2, b2, 3, anchor) for g in rows] == [F(1, 25), F(1, 225)]
+    wmir = w_family(2, 1, F(-2 - 3 - 2 - 1), (F(1, 2),), rows=range(2, 3))
+    assert psi_mirror(2, 0, 2, 1, F(3), wmir) == F(1, 30)
