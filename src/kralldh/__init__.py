@@ -46,7 +46,6 @@ from .measures import (
     translate_measure,
 )
 from .wpoly import (
-    CrossCheckError,
     PsiContext,
     WFamily,
     w_family,

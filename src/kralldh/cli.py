@@ -35,7 +35,7 @@ from .constructors import (
     construct_shifted,
     determinant_sizes,
 )
-from .wpoly import CrossCheckError, row_range, w_family
+from .wpoly import row_range, w_family
 from .verify import (
     operator_search,
     orthogonality_report,
@@ -218,6 +218,18 @@ def _size_args(args, a, b, N):
     )
 
 
+def _explicit_size(args, suite, names):
+    """The flags ``names`` (say "a", "b", "N") if all of them were given,
+    None if none was."""
+    given = tuple(getattr(args, name) for name in names)
+    if given.count(None) == len(given):
+        return None
+    if None in given:
+        flags = " ".join(f"--{name}" for name in names)
+        raise ValueError(f"--suite {suite} takes {flags} together or none of them")
+    return given
+
+
 def _gram_record(name, polys, measure, norms, extra=None) -> dict:
     rep = orthogonality_report(polys, measure, norms)
     rec = {"suite": "orthogonality", "case": name, "pass": rep.passed}
@@ -228,9 +240,10 @@ def _gram_record(name, polys, measure, norms, extra=None) -> dict:
 
 def _suite_orthogonality(args):
     records = []
+    size = _explicit_size(args, "orthogonality", ("a", "b", "N"))
     cases = (
-        [(args.a, args.b, args.N, _parse_fraction_list(args.M))]
-        if args.a is not None
+        [(*size, _parse_fraction_list(args.M))]
+        if size is not None
         else [(1, 1, 2, (Fraction(2),)), (2, 1, 3, (Fraction(2),)), (2, 2, 3, (Fraction(2), Fraction(3)))]
     )
     for a, b, N, M in cases:
@@ -289,6 +302,7 @@ def _suite_limits(args):
     records = []
     a, b, N = _size_args(args, 2, 1, 3)
     M = (_parse_fraction_list(args.M) or (Fraction(2),))[0]
+    NuParams(a, b, N, (M,) * min(a, b))  # M must avoid 0 and 1 before any limit runs
     records.append(verify_measure_limit_basic(a, b, N, M).as_record())
     for g in row_range(a, b):
         if a <= g <= a + b - 1:
@@ -378,7 +392,8 @@ def _suite_operator(args):
 
 def _suite_flip(args):
     records = []
-    pairs = [(args.a, args.b)] if args.a is not None else [(1, 2), (1, 3), (2, 3)]
+    size = _explicit_size(args, "flip", ("a", "b"))
+    pairs = [size] if size is not None else [(1, 2), (1, 3), (2, 3)]
     for a, b in pairs:
         N = max(a, b) + 1 if args.N is None else args.N
         M = _parse_fraction_list(args.M) or tuple(
@@ -457,7 +472,7 @@ def main(argv=None) -> int:
                 raise ValueError("generate needs --a --b --N --M")
             return run_generate(args)
         return run_verify(args)
-    except (ValueError, CrossCheckError, FamilyExistenceError) as exc:
+    except (ValueError, FamilyExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

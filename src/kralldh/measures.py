@@ -222,10 +222,13 @@ def geronimus_factor(params: NuParams) -> Polynomial:
 
 
 def check_pair_condition(a: int, b: int, U) -> tuple:
-    """The points of U as exact scalars, after checking that no two of
-    them (or one taken twice) sum to -a-b-1: their Christoffel factors
-    would share a root, squaring it."""
+    """The points of U as exact scalars, after checking that none of them
+    repeats and that no two of them (or one taken twice) sum to -a-b-1:
+    their Christoffel factors would share a root, squaring it."""
     U = tuple(as_scalar(u) for u in U)
+    for i, u in enumerate(U):
+        if u in U[:i]:
+            raise ValueError(f"repeated point u = {u}")
     for u in U:
         for v in U:
             if u + v == -a - b - 1:

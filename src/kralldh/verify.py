@@ -39,8 +39,8 @@ from .wpoly import (
     psi_plain,
     row_range,
     w_family,
+    w_mid_explicit,
     w_mid_limit,
-    w_mid_series,
     w_param_explicit,
     w_param_limit,
 )
@@ -470,13 +470,13 @@ def verify_row_parameter_limit(a: int, b: int, N: int, g: int, M) -> IdentityRep
 
 
 def verify_row_window_limit(a: int, b: int, N: int, g: int) -> IdentityReport:
-    """Proportional-window row polynomial: series derivative against the
-    one-sided limit."""
+    """Proportional-window row polynomial: one-sided deformation limit
+    against closed form."""
     return IdentityReport(
         "row-window-limit",
         dict(a=a, b=b, N=N, g=g),
-        w_mid_series(g, a, b, Fraction(N)),
         w_mid_limit(g, a, b, Fraction(N)),
+        w_mid_explicit(g, a, b, Fraction(N)),
     )
 
 

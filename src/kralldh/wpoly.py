@@ -8,15 +8,17 @@ three regimes for the row index g:
 * below the collapse window the plain Hahn polynomial h_g^{-a,-b,-2-N} is
   kept;
 * in the window where two rows would become proportional, the polynomial
-  is the exact s-derivative at 0 of a normalized deformed series (equal to
-  a one-sided deformation limit, which we use as a cross-check);
+  is the exact s-derivative at 0 of a normalized deformed series, equal to
+  a one-sided deformation limit;
 * in the window where the row would vanish identically, the polynomial is
   the exact limit (1/s) of the doubly deformed Hahn polynomial, scaled by
   M/(M-1); only these rows carry the continuous parameters.
 
-Every constructor cross-checks two independent computations of the same
-polynomial and raises on any mismatch, so a silent regression in either
-path is impossible.
+The standard orientation builds both windows from their closed forms
+over the rationals (w_mid_explicit, w_param_explicit); the limits and the
+series are the references that the limit suite and the tests compare
+them with.  The flipped orientation is built from its deformation limits,
+and the flip suite checks its symmetry with the standard rows.
 
 The module also builds the anchor polynomials whose roots are (negatives
 or shifts of) the eigenvalues at the row indices, their deflations at
@@ -40,10 +42,6 @@ from .exact import (
     residue_inv,
 )
 from .classical import hahn_poly, lambda_map, phi_pair
-
-
-class CrossCheckError(ArithmeticError):
-    """Two independent constructions of the same object disagreed."""
 
 
 def mid_range(a: int, b: int) -> range:
@@ -139,7 +137,7 @@ def w_mid_explicit(g: int, a: int, b: int, N) -> Polynomial:
 
     High-order part: falling factorial of order a+b-g times a terminating
     sum; low-order part: Hahn-type terms weighted by partial-fraction
-    sums.  Kept as an independent cross-check of w_mid_series.
+    sums.  Agrees with w_mid_series and w_mid_limit identically.
     """
     N = as_scalar(N)
     k = a + b - g
@@ -194,7 +192,7 @@ def w_param_limit_flipped(g: int, a: int, b: int, N, Mg: Fraction) -> Polynomial
 
 
 def w_poly(g: int, a: int, b: int, N, free, orientation: str = "standard") -> Polynomial:
-    """The degree-g auxiliary row polynomial, cross-checked.
+    """The degree-g auxiliary row polynomial.
 
     ``free`` is the tuple of continuous parameters (length min(a, b));
     only indices in param_range use them.  N may be any rational: the
@@ -212,30 +210,15 @@ def _w_poly_cached(g: int, a: int, b: int, N, free, orientation: str) -> Polynom
         if b > a:
             raise ValueError("standard orientation needs b <= a")
         if g in param_range(a, b):
-            Mg = as_scalar(free[g - a])
-            got = w_param_limit(g, a, b, N, Mg)
-            check = w_param_explicit(g, a, b, N, Mg)
-            if got != check:
-                raise CrossCheckError(f"parameter row g={g} mismatch")
-            return got
+            return w_param_explicit(g, a, b, N, as_scalar(free[g - a]))
         if g in mid_range(a, b):
-            got = w_mid_series(g, a, b, N)
-            check = w_mid_limit(g, a, b, N)
-            if got != check:
-                raise CrossCheckError(f"proportional-window row g={g} mismatch")
-            return got
+            return w_mid_explicit(g, a, b, N)
         return hahn_poly(g, Fraction(-a), Fraction(-b), -2 - N)
     if orientation == "flipped":
         if a > b:
             raise ValueError("flipped orientation needs a <= b")
         if g in param_range(a, b):
-            Mg = as_scalar(free[g - b])
-            got = w_param_limit_flipped(g, a, b, N, Mg)
-            check = w_poly(g, b, a, N, tuple(1 / m for m in free))
-            check = check.reflect_argument(-2 - N) * Fraction((-1) ** g)
-            if got != check:
-                raise CrossCheckError(f"flipped parameter row g={g} mismatch")
-            return got
+            return w_param_limit_flipped(g, a, b, N, as_scalar(free[g - b]))
         if g in mid_range(a, b):
             return w_mid_limit(g, a, b, N, anchor=-2 - N)
         return hahn_poly(g, Fraction(-a), Fraction(-b), -2 - N)

@@ -6,7 +6,9 @@ import pytest
 
 from kralldh.cli import family_from_json, family_to_json, main
 from kralldh.constructors import construct_basic
+from kralldh.exact import RationalFunction
 from kralldh.measures import NuParams
+from kralldh.wpoly import _w_poly_cached
 from fractions import Fraction as F
 
 
@@ -144,10 +146,45 @@ def test_missing_required_flags(capsys):
         (["generate", "--a", "4", "--b", "3", "--N", "8", "--M", "2,3,4",
           "--rep", "shifted", "--U=-3"], "distinct merged indices"),
         (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2",
-          "--rep", "shifted", "--U", "1,1"], "distinct merged indices"),
+          "--rep", "shifted", "--U", "1,1"], "repeated point u = 1"),
+        # a partial size is never passed on to the suite
+        (["verify", "--suite", "orthogonality", "--a", "2"],
+         "--a --b --N together or none"),
+        (["verify", "--suite", "flip", "--a", "2"], "--a --b together or none"),
+        # a repeated point squares its Christoffel root in every representation
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2",
+          "--rep", "basic", "--U", "1,1"], "repeated point u = 1"),
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2",
+          "--rep", "mirror", "--U", "1/2,1/2"], "repeated point u = 1/2"),
+        # the limit suite checks M before any limit divides by it
+        (["verify", "--suite", "limits", "--M", "0"], "avoid 0 and 1"),
+        (["verify", "--suite", "limits", "--M", "1"], "avoid 0 and 1"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_generate_builds_no_rational_functions(monkeypatch, capsys):
+    # rational functions in s belong to the deformation limits that the
+    # verification suites check, never to the construction path
+    built = []
+    init = RationalFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    _w_poly_cached.cache_clear()  # rows cached by earlier tests would hide the work
+    for rep in ("basic", "dropped", "shifted", "mirror"):
+        for U in ((), (-5, 8)):
+            argv = ["generate", "--a", "4", "--b", "3", "--N", "8", "--M", "3/2,5,7",
+                    "--rep", rep, "--G", "4,5,6"]
+            if U:
+                argv.append("--U=" + ",".join(map(str, U)))
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out
+    assert built == []

@@ -159,7 +159,9 @@ def test_alt_params_rejects_unremovable_points():
 )
 def test_shifted_rejects_colliding_points(a, b, N, U):
     params = NuParams(a, b, N, tuple(F(2) + i for i in range(b)))
-    with pytest.raises(ValueError, match="distinct merged indices"):
+    # the shared pair condition names a repeated point before the merge
+    message = "repeated point" if len(set(U)) < len(U) else "distinct merged indices"
+    with pytest.raises(ValueError, match=message):
         construct_shifted(params, U)
 
 

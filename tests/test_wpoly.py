@@ -70,14 +70,43 @@ def test_parameter_row_index_mapping():
             assert (f1[g] == f2[g]) == (g != a + i)
 
 
-@pytest.mark.parametrize("a,b,N", GRID)
+# Every size at which the test suite builds a parameter row: the direct
+# sizes, the mirror representation's slots N' = -2-N-a-b (N' < 0) and the
+# shifted representation's (a_alt, b_alt, N_alt); then the benchmark
+# ladder's top sizes with their mirror slots.  The closed form is the
+# production row, so the limit is compared with it at each of them.
+PARAM_SIZES = GRID + [
+    (1, 1, 1), (1, 1, 3), (1, 1, 4), (1, 1, 5),
+    (1, 1, -5), (1, 1, -6), (1, 1, -7), (1, 1, -8),
+    (2, 1, 2), (2, 1, 4), (2, 1, 5), (2, 1, -7), (2, 1, -8), (2, 1, -9),
+    (2, 2, 2), (2, 2, 4), (2, 2, 5), (2, 2, -8), (2, 2, -9), (2, 2, -10),
+    (3, 1, 3), (3, 1, 5), (3, 1, -9), (3, 1, -10), (3, 1, -11),
+    (3, 2, 3), (3, 2, 4), (3, 2, 6),
+    (3, 2, -10), (3, 2, -11), (3, 2, -12), (3, 2, -13),
+    (3, 3, 1), (3, 3, 3), (3, 3, 4), (3, 3, -11), (3, 3, -12),
+    (4, 3, 1), (4, 3, 8), (4, 3, -17),
+    (5, 2, 8), (5, 4, 1), (5, 4, 3), (5, 5, 1), (10, 9, -1), (13, 12, -1),
+    (5, 3, 10), (5, 3, -20), (6, 4, 12), (6, 4, -24),
+]
+# at its two largest sizes the shifted representation builds only these
+# parameter rows; all of param_range there would dominate the suite's time
+SHIFTED_PARAM_ROWS = {(10, 9, -1): (11,), (13, 12, -1): (14, 15)}
+
+
+@pytest.mark.parametrize("a,b,N", PARAM_SIZES)
 def test_parameter_rows_closed_form_equals_limit(a, b, N):
-    for g in param_range(a, b):
+    for g in SHIFTED_PARAM_ROWS.get((a, b, N), param_range(a, b)):
         for M in (F(2), F(1, 2), F(-3)):
             assert w_param_explicit(g, a, b, F(N), M) == w_param_limit(g, a, b, F(N), M)
 
 
-@pytest.mark.parametrize("a,b,N", [(3, 1, 4), (4, 1, 5), (4, 2, 6), (5, 2, 7), (5, 3, 8)])
+# every size at which the test suite builds a window row, then the
+# benchmark ladder's top sizes
+@pytest.mark.parametrize(
+    "a,b,N",
+    [(3, 1, 4), (4, 1, 5), (4, 2, 6), (5, 2, 7), (5, 3, 8),
+     (3, 1, 3), (3, 1, 5), (5, 2, 8), (5, 3, 10), (6, 4, 12)],
+)
 def test_window_rows_series_equals_limit_and_double_sum(a, b, N):
     for g in mid_range(a, b):
         series = w_mid_series(g, a, b, F(N))
