@@ -35,7 +35,7 @@ from .constructors import (
     construct_shifted,
     determinant_sizes,
 )
-from .wpoly import row_range, w_family
+from .wpoly import mid_range, row_range, w_family
 from .verify import (
     operator_search,
     orthogonality_report,
@@ -301,14 +301,14 @@ def _suite_identities(args):
 def _suite_limits(args):
     records = []
     a, b, N = _size_args(args, 2, 1, 3)
-    M = (_parse_fraction_list(args.M) or (Fraction(2),))[0]
-    NuParams(a, b, N, (M,) * min(a, b))  # M must avoid 0 and 1 before any limit runs
+    free = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
+    # every value is checked before any limit runs; the deformation has one
+    # parameter, so the limits take all free parameters equal to the first
+    M = NuParams(a, b, N, free).free[0]
     records.append(verify_measure_limit_basic(a, b, N, M).as_record())
     for g in row_range(a, b):
         if a <= g <= a + b - 1:
             records.append(verify_row_parameter_limit(a, b, N, g, M).as_record())
-    from .wpoly import mid_range
-
     for g in mid_range(a, b):
         records.append(verify_row_window_limit(a, b, N, g).as_record())
     for n in range(b, b + 2):
@@ -371,9 +371,14 @@ def _suite_operator(args):
     a, b, N = _size_args(args, 1, 1, 3)
     M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
     r = a * b + 1
-    n_max = 2 * r + 2
-    if N + b + 2 <= n_max:
-        n_max += 1
+    if a * b > 1:
+        # a member just above the orthogonality range degenerates to zero
+        # (n = 6 at (2,1,3)); extra members keep the system overdetermined
+        n_max = 2 * r + 5
+    else:
+        n_max = 2 * r + 2
+        if N + b + 2 <= n_max:
+            n_max += 1
     fam = construct_basic(NuParams(a, b, N, M), n_max=n_max, extend=True)
     op = operator_search(fam, r=r)
     rec = {

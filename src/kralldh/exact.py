@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 Rational = Fraction
 
@@ -522,39 +522,82 @@ def det_with_poly_row(top_row, numeric_rows) -> Polynomial:
     return acc
 
 
+def _integer_row(row) -> list:
+    """A rational row scaled by the lcm of its denominators to ints."""
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+    den = lcm(*(v.denominator for v in fr))
+    return [v.numerator * (den // v.denominator) for v in fr]
+
+
+def _eliminate(row, c, pivot_row, support) -> list:
+    """Clear column c of an integer row with the pivot row.
+
+    The row is scaled by pivot/g and pivot_row/g is subtracted
+    (g = gcd(pivot, row[c])), over the pivot row's nonzero columns
+    ``support`` only; the result is divided by its content.
+    """
+    pv, f = pivot_row[c], row[c]
+    g = gcd(pv, f)
+    s, t = pv // g, f // g
+    if s != 1:
+        row = [s * v for v in row]
+    for j in support:
+        row[j] -= t * pivot_row[j]
+    g = gcd(*row)
+    if g > 1:
+        row = [v // g for v in row]
+    return row
+
+
 def nullspace_exact(rows):
     """Basis of the right nullspace of a matrix over the rationals.
 
-    Plain Gauss-Jordan elimination with exact arithmetic; returns a list of
-    basis vectors (lists of Fractions), empty when the kernel is trivial.
+    Fraction-free Gauss-Jordan elimination over the integers (in the
+    style of Bareiss, Math. Comp. 22, 1968): each row is cleared of
+    denominators, eliminated below each pivot and then above it from the
+    last pivot back, with every row kept a primitive integer vector.  The
+    pivot in each column is the first nonzero entry at or below the
+    current row.  Every integer row stays a nonzero multiple of the row
+    a rational elimination would hold, so the reduced row echelon form,
+    and with it the basis, is the rational one exactly.  Returns a list
+    of basis vectors (lists of Fractions), one per free column with a 1
+    there, empty when the kernel is trivial (or there are no rows).
     """
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    m = [_integer_row(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    m = [row for row in m if any(row)]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        prow = m[r]
+        support = [j for j in range(c, ncols) if prow[j]]
+        below = (
+            _eliminate(row, c, prow, support) if row[c] else row for row in m[r + 1 :]
+        )
+        m[r + 1 :] = [row for row in below if any(row)]  # zero rows hold no pivot
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    for k in range(len(pivots) - 1, 0, -1):
+        c, prow = pivots[k], m[k]
+        support = [j for j in range(c, ncols) if prow[j]]
+        for i in range(k):
+            if m[i][c]:
+                m[i] = _eliminate(m[i], c, prow, support)
+    pivot_of = dict(zip(pivots, m))
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_of:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
+        for pc, row in pivot_of.items():
+            if row[fc]:
+                vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 

@@ -629,12 +629,7 @@ class LatticeOperator:
 
 
 def operator_search(
-    fam,
-    r: int,
-    coeff_degree_bound: int | None = None,
-    den_degrees=None,
-    n_max: int | None = None,
-    holdout_points=range(-20, 25),
+    fam, r: int, n_max: int | None = None, holdout_points=range(-20, 25)
 ):
     """Search for a difference operator diagonalizing the family.
 
@@ -646,25 +641,22 @@ def operator_search(
     factor as (numerators, gamma_n * denominator) with pairwise distinct
     eigenvalues and nonzero extreme shifts; the winner is verified as an
     exact polynomial identity and re-verified on held-out lattice points.
-    Returns None when no such operator exists at the given degree bounds.
+    Returns None when no such operator exists at any rung of the ladder.
     """
     if isinstance(fam, Family):
         polys, (a, b) = fam.polys, (fam.params.a, fam.params.b)
     else:
         polys, a, b = fam  # (list of polynomials in the point variable, a, b)
-    if coeff_degree_bound is not None:
-        ladder = [(coeff_degree_bound, d2) for d2 in (den_degrees or (0,))]
-    else:
-        # polynomial coefficients first, then rational ones over shared
-        # denominators; the last rungs cover the degree growth seen at
-        # higher shift ranges (numerator r above the denominator)
-        tri = r * (r + 1) // 2
-        ladder = [
-            (2 * r + 2, 0),
-            (2 * r + 2, 2 * r + 1),
-            (tri + r + 1, tri + 1),
-            (tri + r + 3, tri + 3),
-        ]
+    # polynomial coefficients first, then rational ones over shared
+    # denominators; the last rungs cover the degree growth seen at higher
+    # shift ranges (numerator r above the denominator)
+    tri = r * (r + 1) // 2
+    ladder = [
+        (2 * r + 2, 0),
+        (2 * r + 2, 2 * r + 1),
+        (tri + r + 1, tri + 1),
+        (tri + r + 3, tri + 3),
+    ]
     if n_max is None:
         n_max = len(polys) - 1
     if n_max < 2 * r + 2:
@@ -695,23 +687,24 @@ def _operator_search_at(a, b, Q, shifted, shifts, d1, d2, usable, n_max):
     rows = []
     for n in usable:
         width = max(d1, d2) + 2 * n + 1
-        cols = {}
-        for idx, j in enumerate(shifts):
-            base = shifted[(n, j)]
-            for k in range(d1 + 1):
-                cols[idx * (d1 + 1) + k] = Polynomial.monomial(k) * base
+        # (first column, coefficients of p, d): column first + k holds the
+        # coefficients of x^k p for k = 0..d
+        blocks = [
+            (idx * (d1 + 1), shifted[(n, j)].coeffs, d1) for idx, j in enumerate(shifts)
+        ]
         if n in free_ns:
             off = n_h + free_ns.index(n) * (d2 + 1)
-            for k in range(d2 + 1):
-                cols[off + k] = -(Polynomial.monomial(k) * Q[n])
+            blocks.append((off, tuple(-c for c in Q[n].coeffs), d2))
         for deg in range(width):
             row = [Fraction(0)] * total_cols
             touched = False
-            for c, poly in cols.items():
-                v = poly.coefficient(deg)
-                if v:
-                    row[c] = v
-                    touched = True
+            for first, coeffs, d in blocks:
+                # the coefficient of x^deg in x^k p is p's coefficient of x^(deg-k)
+                for k in range(max(0, deg - len(coeffs) + 1), min(d, deg) + 1):
+                    v = coeffs[deg - k]
+                    if v:
+                        row[first + k] = v
+                        touched = True
             if touched:
                 rows.append(row)
     basis = nullspace_exact(rows)
@@ -776,6 +769,13 @@ def _assemble_operator(a, b, vec, shifts, d1, d2, usable, n_max, n_h):
 
 
 def _verify_operator(op: LatticeOperator, Q, holdout_points) -> bool:
+    points = [Fraction(x0) for x0 in holdout_points]
+    # numerators and denominator at each held-out point, once for all members
+    weights = [
+        ([(j, num(x0)) for j, num in op.numerators.items()], op.denominator(x0))
+        for x0 in points
+    ]
+    lattice = {x0 + j for x0 in points for j in op.numerators} | set(points)
     for n, q in Q.items():
         gamma = op.gammas[n]
         if gamma is None:
@@ -783,12 +783,9 @@ def _verify_operator(op: LatticeOperator, Q, holdout_points) -> bool:
         ident = op.apply_cleared(q) - op.denominator * (gamma * q)
         if not ident.is_zero:
             return False
-        for x0 in holdout_points:
-            x0 = Fraction(x0)
-            lhs = sum(
-                (num(x0) * q(x0 + j) for j, num in op.numerators.items()),
-                Fraction(0),
-            )
-            if lhs != gamma * op.denominator(x0) * q(x0):
+        values = {x: q(x) for x in lattice}
+        for x0, (terms, den) in zip(points, weights):
+            lhs = sum((v * values[x0 + j] for j, v in terms), Fraction(0))
+            if lhs != gamma * den * values[x0]:
                 return False
     return True

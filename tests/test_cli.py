@@ -121,6 +121,15 @@ def test_verify_flip(capsys):
     assert rec["sign_exponent"] == "g"
 
 
+def test_verify_operator_certifies_2_1_3(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "3"
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["pass"] is True and rec["shift_range"] == 3
+
+
 def test_missing_required_flags(capsys):
     code, _, err = run_cli(capsys, "generate", "--a", "1", "--b", "1")
     assert code == 2
@@ -159,6 +168,10 @@ def test_missing_required_flags(capsys):
         # the limit suite checks M before any limit divides by it
         (["verify", "--suite", "limits", "--M", "0"], "avoid 0 and 1"),
         (["verify", "--suite", "limits", "--M", "1"], "avoid 0 and 1"),
+        # every --M value is checked, not only the first
+        (["verify", "--suite", "limits", "--M", "2,0"], "need 1 free parameters, got 2"),
+        (["verify", "--suite", "limits", "--a", "2", "--b", "2", "--N", "4",
+          "--M", "2,0"], "avoid 0 and 1"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):

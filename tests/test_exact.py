@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from kralldh.exact import (
     IndexSet,
@@ -115,6 +115,96 @@ def test_nullspace_exact_simple():
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + vec[1] == 0
+
+
+def nullspace_fraction_reference(rows):
+    """Oracle: Gauss-Jordan over Fractions, pivot the first nonzero entry
+    at or below the current row, one basis vector per free column."""
+    m = [list(map(F, r)) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -m[row_idx][fc]
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices, tall, wide or without rows, with zero entries
+    common and some zero columns, zero rows and repeated (scaled) rows."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(F(0)), rationals)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = F(0)
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        if draw(st.booleans()):
+            rows[draw(index)] = [F(0)] * ncols
+        for _ in range(draw(st.integers(0, 2))):
+            scale = draw(st.sampled_from([F(1), F(-1), F(3, 2)]))
+            rows.insert(draw(index), [scale * v for v in rows[draw(index)]])
+    return rows
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_nullspace_exact_equals_fraction_reference(rows):
+    basis = nullspace_exact(rows)
+    assert basis == nullspace_fraction_reference(rows)
+    for vec in basis:
+        for row in rows:
+            assert sum((x * v for x, v in zip(row, vec)), F(0)) == 0
+
+
+def test_nullspace_exact_on_operator_search_systems(monkeypatch):
+    # the systems operator_search builds at (a,b,N) = (1,1,3), M = 2: a
+    # trivial kernel on the polynomial rung, a 2-dimensional one on the next
+    from kralldh import verify
+    from kralldh.constructors import construct_basic
+    from kralldh.measures import NuParams
+
+    systems = []
+
+    def capture(rows):
+        systems.append(rows)
+        return nullspace_exact(rows)
+
+    monkeypatch.setattr(verify, "nullspace_exact", capture)
+    fam = construct_basic(NuParams(1, 1, 3, (F(2),)), n_max=6, extend=True)
+    assert verify.operator_search(fam, r=2) is not None
+    assert [(len(rows), len(rows[0])) for rows in systems] == [(89, 41), (89, 71)]
+    dims = []
+    for rows in systems:
+        basis = nullspace_exact(rows)
+        assert basis == nullspace_fraction_reference(rows)
+        dims.append(len(basis))
+    assert dims == [0, 2]
 
 
 # --- residues ---------------------------------------------------------------

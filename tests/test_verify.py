@@ -1,15 +1,17 @@
 """Verification suites: identities, limits, Gram reports, operator search."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from kralldh.exact import IndexSet, Polynomial
-from kralldh.classical import dual_hahn_poly
+from kralldh.classical import dual_hahn_poly, lambda_poly
 from kralldh.measures import NuParams, dual_hahn_measure, dual_hahn_norm
 from kralldh.constructors import construct_basic
 from kralldh.verify import (
     MOMENT_IDENTITIES,
+    _verify_operator,
     operator_search,
     orthogonality_report,
     triangular_product_report,
@@ -183,6 +185,21 @@ def test_operator_search_negative_control():
     # the tampered family as eigenfunctions
     polys[1] = polys[1] + Polynomial((0, F(1, 7)))
     assert operator_search((polys, 1, 1), r=2) is None
+
+
+def test_verify_operator_rejects_a_perturbed_operator():
+    fam = construct_basic(NuParams(1, 1, 3, (F(2),)), n_max=6, extend=True)
+    op = operator_search(fam, r=2)
+    lam = lambda_poly(1, 1)
+    Q = {n: q.compose(lam) for n, q in enumerate(fam.polys) if op.gammas[n] is not None}
+    points = range(-20, 25)
+    assert _verify_operator(op, Q, points)
+    gammas = list(op.gammas)
+    gammas[3] += F(1, 11)
+    assert not _verify_operator(replace(op, gammas=tuple(gammas)), Q, points)
+    numerators = dict(op.numerators)
+    numerators[1] = numerators[1] + Polynomial.monomial(2, F(1, 11))
+    assert not _verify_operator(replace(op, numerators=numerators), Q, points)
 
 
 def test_verify_limits_dispatch():
