@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .exact import (
-    poly_from_strings,
     poly_to_strings,
     scalar_from_str,
     scalar_to_str,
@@ -72,14 +71,6 @@ def measure_to_json(measure: DiscreteMeasure) -> dict:
     }
 
 
-def measure_from_json(data: dict) -> DiscreteMeasure:
-    a = scalar_from_str(data["lattice"]["a"])
-    b = scalar_from_str(data["lattice"]["b"])
-    return DiscreteMeasure.from_masses(
-        a, b, [(atom["i"], scalar_from_str(atom["mass"])) for atom in data["atoms"]]
-    )
-
-
 def family_to_json(fam: Family) -> dict:
     data = {
         "representation": fam.representation,
@@ -110,41 +101,6 @@ def family_to_json(fam: Family) -> dict:
             ],
         }
     return data
-
-
-def family_from_json(data: dict) -> Family:
-    params = NuParams(
-        data["a"], data["b"], data["N"], tuple(scalar_from_str(m) for m in data["M"])
-    )
-    polys = [poly_from_strings(rec["q"]) for rec in data["polys"]]
-    phis = [scalar_from_str(rec["phi"]) for rec in data["polys"]]
-    phis.append(scalar_from_str(data["phi_top"]))
-    norms = [
-        scalar_from_str(rec["norm"]) if rec["norm"] is not None else None
-        for rec in data["polys"]
-    ]
-    plain = data.get("plain")
-    return Family(
-        representation=data["representation"],
-        params=params,
-        U=tuple(scalar_from_str(u) for u in data["U"]),
-        rows=tuple(data["rows"]),
-        polys=polys,
-        phis=phis,
-        norms=norms,
-        measure=measure_from_json(data["measure"]),
-        polys_plain=(
-            [poly_from_strings(q) for q in plain["polys"]] if plain else None
-        ),
-        phis_plain=(
-            [scalar_from_str(p) for p in plain["phis"]] if plain else None
-        ),
-        norms_plain=(
-            [scalar_from_str(v) if v is not None else None for v in plain["norms"]]
-            if plain
-            else None
-        ),
-    )
 
 
 def family_to_csv(fam: Family) -> str:
@@ -230,12 +186,9 @@ def _explicit_size(args, suite, names):
     return given
 
 
-def _gram_record(name, polys, measure, norms, extra=None) -> dict:
+def _gram_record(name, polys, measure, norms) -> dict:
     rep = orthogonality_report(polys, measure, norms)
-    rec = {"suite": "orthogonality", "case": name, "pass": rep.passed}
-    if extra:
-        rec.update(extra)
-    return rec
+    return {"suite": "orthogonality", "case": name, "pass": rep.passed}
 
 
 def _suite_orthogonality(args):
@@ -301,6 +254,8 @@ def _suite_identities(args):
 def _suite_limits(args):
     records = []
     a, b, N = _size_args(args, 2, 1, 3)
+    if b > a:
+        raise ValueError("--suite limits needs the standard orientation b <= a")
     free = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
     # every value is checked before any limit runs; the deformation has one
     # parameter, so the limits take all free parameters equal to the first
@@ -452,7 +407,6 @@ def _add_common(parser):
     parser.add_argument("--N", type=int, default=None)
     parser.add_argument("--M", type=str, default="", help="comma list of rationals")
     parser.add_argument("--U", type=str, default="", help="comma list of rationals")
-    parser.add_argument("--nmax", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
 
 
@@ -465,6 +419,7 @@ def main(argv=None) -> int:
     gen = sub.add_parser("generate", help="construct a family and emit it")
     _add_common(gen)
     gen.add_argument("--rep", choices=REPRESENTATIONS, default="basic")
+    gen.add_argument("--nmax", type=int, default=None)
     gen.add_argument("--G", type=str, default="", help="kept rows for --rep dropped")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     ver = sub.add_parser("verify", help="run a verification suite")

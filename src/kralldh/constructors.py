@@ -116,6 +116,8 @@ def _determinantal_family(
     n_support = len(measure.atoms)
     if n_max is None:
         n_max = n_support - 1
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if not extend and n_max > n_support - 1:
         raise ValueError("n_max exceeds the support size of the measure")
 

@@ -424,11 +424,6 @@ class RationalFunction:
             return NotImplemented
         return other / self
 
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting the zero rational function")
-        return RationalFunction(self.den, self.num)
-
     def __call__(self, point) -> Fraction:
         d = self.den(point)
         if not d:

@@ -181,10 +181,6 @@ class NuParams:
     def orientation(self) -> str:
         return "standard" if self.b <= self.a else "flipped"
 
-    @property
-    def n_free(self) -> int:
-        return len(self.free)
-
 
 def nu_basic(params: NuParams) -> DiscreteMeasure:
     """The basic Geronimus-transformed measure.

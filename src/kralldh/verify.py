@@ -628,9 +628,7 @@ class LatticeOperator:
         return True
 
 
-def operator_search(
-    fam, r: int, n_max: int | None = None, holdout_points=range(-20, 25)
-):
+def operator_search(fam, r: int):
     """Search for a difference operator diagonalizing the family.
 
     Sets up the homogeneous linear system for numerator coefficients (one
@@ -639,9 +637,11 @@ def operator_search(
     degree-0 member is normalized to zero, which removes the identity
     operator from the solution space.  Candidate nullspace vectors must
     factor as (numerators, gamma_n * denominator) with pairwise distinct
-    eigenvalues and nonzero extreme shifts; the winner is verified as an
-    exact polynomial identity and re-verified on held-out lattice points.
-    Returns None when no such operator exists at any rung of the ladder.
+    eigenvalues and nonzero extreme shifts.  The system takes every
+    nondegenerate member of the family.  The winner is checked once more,
+    each eigen-equation as an exact polynomial identity in x, which holds
+    at every lattice point.  Returns None when no such operator exists at
+    any rung of the ladder.
     """
     if isinstance(fam, Family):
         polys, (a, b) = fam.polys, (fam.params.a, fam.params.b)
@@ -657,8 +657,7 @@ def operator_search(
         (tri + r + 1, tri + 1),
         (tri + r + 3, tri + 3),
     ]
-    if n_max is None:
-        n_max = len(polys) - 1
+    n_max = len(polys) - 1
     if n_max < 2 * r + 2:
         raise ValueError("need at least 2r + 3 family members for the search")
     # members whose determinant collapsed to zero impose no constraint
@@ -674,8 +673,8 @@ def operator_search(
     for d1, d2 in ladder:
         op = _operator_search_at(a, b, Q, shifted, shifts, d1, d2, usable, n_max)
         if op is not None:
-            if not _verify_operator(op, Q, holdout_points):
-                raise ArithmeticError("operator failed held-out verification")
+            if not _verify_operator(op, Q, shifted):
+                raise ArithmeticError("operator failed its exact identity check")
             return op
     return None
 
@@ -768,24 +767,17 @@ def _assemble_operator(a, b, vec, shifts, d1, d2, usable, n_max, n_h):
     )
 
 
-def _verify_operator(op: LatticeOperator, Q, holdout_points) -> bool:
-    points = [Fraction(x0) for x0 in holdout_points]
-    # numerators and denominator at each held-out point, once for all members
-    weights = [
-        ([(j, num(x0)) for j, num in op.numerators.items()], op.denominator(x0))
-        for x0 in points
-    ]
-    lattice = {x0 + j for x0 in points for j in op.numerators} | set(points)
+def _verify_operator(op: LatticeOperator, Q, shifted) -> bool:
+    """Each eigen-equation as an exact polynomial identity in x:
+    sum_j numerators[j] * Q_n(x + j) == gamma_n * denominator * Q_n, with
+    Q_n(x + j) read from ``shifted``."""
     for n, q in Q.items():
         gamma = op.gammas[n]
         if gamma is None:
             return False
-        ident = op.apply_cleared(q) - op.denominator * (gamma * q)
-        if not ident.is_zero:
+        lhs = Polynomial.zero()
+        for j, num in op.numerators.items():
+            lhs = lhs + num * shifted[(n, j)]
+        if lhs != op.denominator * (gamma * q):
             return False
-        values = {x: q(x) for x in lattice}
-        for x0, (terms, den) in zip(points, weights):
-            lhs = sum((v * values[x0 + j] for j, v in terms), Fraction(0))
-            if lhs != gamma * den * values[x0]:
-                return False
     return True

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kralldh.cli import family_from_json, family_to_json, main
+from kralldh.cli import family_to_json, main
 from kralldh.constructors import construct_basic
 from kralldh.exact import RationalFunction
 from kralldh.measures import NuParams
@@ -43,13 +43,8 @@ def test_generate_round_trip(capsys):
         capsys, "generate", "--a", "2", "--b", "2", "--N", "3", "--M", "2,1/2"
     )
     assert code == 0
-    fam = family_from_json(json.loads(out))
     direct = construct_basic(NuParams(2, 2, 3, (F(2), F(1, 2))))
-    assert fam.polys == direct.polys
-    assert fam.phis == direct.phis
-    assert fam.norms == direct.norms
-    assert fam.measure.atoms == direct.measure.atoms
-    assert json.loads(out) == family_to_json(fam)
+    assert json.loads(out) == family_to_json(direct)
 
 
 def test_generate_rejects_forbidden_parameter(capsys):
@@ -172,12 +167,27 @@ def test_missing_required_flags(capsys):
         (["verify", "--suite", "limits", "--M", "2,0"], "need 1 free parameters, got 2"),
         (["verify", "--suite", "limits", "--a", "2", "--b", "2", "--N", "4",
           "--M", "2,0"], "avoid 0 and 1"),
+        # the limit suite is stated for the standard orientation only
+        (["verify", "--suite", "limits", "--a", "1", "--b", "2", "--N", "3"],
+         "standard orientation b <= a"),
+        # a negative --nmax is not an empty family
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2", "--nmax", "-1"],
+         "n_max must be nonnegative"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_verify_rejects_nmax(capsys):
+    # only generate takes --nmax; verify must not accept and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "operator", "--a", "1", "--b", "1", "--N", "3",
+              "--nmax", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nmax" in capsys.readouterr().err
 
 
 def test_generate_builds_no_rational_functions(monkeypatch, capsys):

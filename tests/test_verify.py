@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from kralldh.exact import IndexSet, Polynomial
-from kralldh.classical import dual_hahn_poly, lambda_poly
+from kralldh.classical import dual_hahn_poly, lambda_map, lambda_poly
 from kralldh.measures import NuParams, dual_hahn_measure, dual_hahn_norm
 from kralldh.constructors import construct_basic
 from kralldh.verify import (
@@ -160,7 +160,7 @@ def test_orthogonality_report_and_negative_control():
 def test_operator_search_classical_three_term_structure():
     a, b, N = F(1, 2), F(3, 2), 6
     polys = [dual_hahn_poly(n, a, b, N) for n in range(6)]
-    op = operator_search((polys, a, b), r=1, n_max=5)
+    op = operator_search((polys, a, b), r=1)
     assert op is not None
     # the classical difference equation: eigenvalue n, rational coefficients
     assert op.gammas == tuple(F(n) for n in range(6))
@@ -169,13 +169,32 @@ def test_operator_search_classical_three_term_structure():
 
 
 def test_operator_search_finds_rational_operator_for_basic_family():
-    fam = construct_basic(NuParams(1, 1, 3, (F(2),)), n_max=6, extend=True)
-    op = operator_search(fam, r=2)
-    assert op is not None
-    assert not op.numerators[-2].is_zero and not op.numerators[2].is_zero
-    gammas = [g for g in op.gammas if g is not None]
-    assert len(set(gammas)) == len(gammas)
-    assert op.maps_lattice_powers(3)
+    # the (1,1) sizes of the certify-operator benchmark workload
+    for N in range(3, 7):
+        fam = construct_basic(NuParams(1, 1, N, (F(2),)), n_max=6, extend=True)
+        op = operator_search(fam, r=2)
+        assert op is not None, N
+        assert not op.numerators[-2].is_zero and not op.numerators[2].is_zero
+        gammas = [g for g in op.gammas if g is not None]
+        assert len(gammas) >= 5 and len(set(gammas)) == len(gammas)
+        assert op.maps_lattice_powers(3)
+        # every eigen-equation by Horner's rule at the lattice points
+        # lambda(x + j), inside the support and far outside it: no
+        # polynomial is composed or shifted, so this is independent of the
+        # exact identity that operator_search checks
+        for n, q in enumerate(fam.polys):
+            if op.gammas[n] is None:
+                continue
+            for x in [*range(0, N + 2), -20, -7, 13, 29]:
+                lhs = sum(
+                    (
+                        num(F(x)) * q(lambda_map(1, 1, x + j))
+                        for j, num in op.numerators.items()
+                    ),
+                    F(0),
+                )
+                rhs = op.gammas[n] * op.denominator(F(x)) * q(lambda_map(1, 1, x))
+                assert lhs == rhs, (N, n, x)
 
 
 def test_operator_search_negative_control():
@@ -192,14 +211,14 @@ def test_verify_operator_rejects_a_perturbed_operator():
     op = operator_search(fam, r=2)
     lam = lambda_poly(1, 1)
     Q = {n: q.compose(lam) for n, q in enumerate(fam.polys) if op.gammas[n] is not None}
-    points = range(-20, 25)
-    assert _verify_operator(op, Q, points)
+    shifted = {(n, j): q.shift_argument(F(j)) for n, q in Q.items() for j in op.numerators}
+    assert _verify_operator(op, Q, shifted)
     gammas = list(op.gammas)
     gammas[3] += F(1, 11)
-    assert not _verify_operator(replace(op, gammas=tuple(gammas)), Q, points)
+    assert not _verify_operator(replace(op, gammas=tuple(gammas)), Q, shifted)
     numerators = dict(op.numerators)
     numerators[1] = numerators[1] + Polynomial.monomial(2, F(1, 11))
-    assert not _verify_operator(replace(op, numerators=numerators), Q, points)
+    assert not _verify_operator(replace(op, numerators=numerators), Q, shifted)
 
 
 def test_verify_limits_dispatch():
