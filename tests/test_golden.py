@@ -1,10 +1,10 @@
 """Golden CLI outputs: byte-identical exit codes and stdout.
 
 The pinned grid is `generate` for three sizes, every representation and
-no, one or two Christoffel points, plus one CSV case and
-`verify --suite all`.  Each file under tests/golden/ holds the exit code
-on its first line and the exact stdout after it.  After a deliberate
-output change, rewrite the files with
+no, one or two Christoffel points, plus one CSV case, `verify --suite
+all` and the (2,1) operator certificate.  Each file under tests/golden/
+holds the exit code on its first line and the exact stdout after it.
+After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -44,6 +44,9 @@ def golden_cases() -> dict:
         3, 2, 6, "2,1/2", "basic", (-4,)
     ) + ["--format", "csv"]
     cases["verify_all"] = ["verify", "--suite", "all"]
+    cases["verify_operator_2_1_3"] = [
+        "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "3"
+    ]
     return cases
 
 
