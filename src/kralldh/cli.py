@@ -1,8 +1,9 @@
 """Command line front end: generate families, run verification suites.
 
-Exit codes: 0 all requested work passed, 1 a verification failed,
-2 invalid configuration.  All emitted numbers are exact "p/q" strings;
-output is byte-deterministic for identical configuration.
+Exit codes: 0 all requested work passed, 1 a verification failed or an
+exact computation contradicted itself, 2 invalid configuration.  All
+emitted numbers are exact "p/q" strings; output is byte-deterministic
+for identical configuration.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .exact import (
+    ExactError,
     poly_to_strings,
     scalar_from_str,
     scalar_to_str,
@@ -435,6 +437,10 @@ def main(argv=None) -> int:
     except (ValueError, FamilyExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ExactError, ArithmeticError) as exc:
+        # an internal inconsistency, not an input the user can fix
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

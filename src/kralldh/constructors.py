@@ -342,6 +342,19 @@ def determinant_sizes(a: int, b: int, N: int, U) -> tuple:
     return (a + len(U) + 1, alt.n_rows + 1, b + len(U) + 1)
 
 
+def shifted_params(a: int, b: int, N: int, U) -> AltParams:
+    """``alt_params`` for the shifted lattice, where each merged index
+    must be distinct: a point that repeats or lies in -b..-2 (on the
+    parameter block) is rejected."""
+    alt = alt_params(a, b, N, U)
+    if len(alt.F_merged) != b + len(U):
+        raise ValueError(
+            "the shifted representation needs distinct merged indices: "
+            "a point repeats or lies in -b..-2"
+        )
+    return alt
+
+
 def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     """Second representation: shifted parameters and translated argument.
 
@@ -351,12 +364,7 @@ def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     measure as the direct representation.
     """
     a, b, N, free = _standard_params(params)
-    alt = alt_params(a, b, N, U)
-    if len(alt.F_merged) != b + len(U):
-        raise ValueError(
-            "the shifted representation needs distinct merged indices: "
-            "a point repeats or lies in -b..-2"
-        )
+    alt = shifted_params(a, b, N, U)
     aU, bU, NU = alt.a_alt, alt.b_alt, alt.N_alt
     rows = list(alt.G_rows)
     n_g = len(rows)

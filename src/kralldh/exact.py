@@ -52,7 +52,10 @@ def as_scalar(value):
 
 def scalar_from_str(text: str) -> Fraction:
     """Parse "p/q" or a plain integer literal into a Fraction."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
 
 
 def scalar_to_str(value) -> str:
@@ -687,7 +690,3 @@ def residue_inv(poly: Polynomial, z0) -> Fraction:
 def poly_to_strings(poly: Polynomial):
     """Serialize a polynomial as a list of "p/q" strings, ascending degree."""
     return [scalar_to_str(c) for c in poly.coeffs]
-
-
-def poly_from_strings(items) -> Polynomial:
-    return Polynomial(tuple(scalar_from_str(t) for t in items))

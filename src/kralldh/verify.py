@@ -44,7 +44,7 @@ from .wpoly import (
     w_param_explicit,
     w_param_limit,
 )
-from .constructors import Family, alt_params
+from .constructors import Family, alt_params, shifted_params
 
 
 @dataclass(frozen=True)
@@ -434,7 +434,7 @@ def verify_measure_limit_transformed(a: int, b: int, N: int, M, U) -> IdentityRe
     proportionality; the constant is reported in the params.
     """
     M = Fraction(M)
-    alt = alt_params(a, b, N, U)
+    alt = shifted_params(a, b, N, U)
     U = tuple(int(u) for u in U)  # integers: alt_params rejects any other point
     a_s, b_s = deformed_parameters(alt.a_alt, alt.b_alt, M)
     lim = limit_of_measure(
@@ -635,28 +635,21 @@ def operator_search(fam, r: int):
     polynomial per shift in [-r, r]) and per-degree multiples of a shared
     denominator, all unknowns entering linearly; the eigenvalue of the
     degree-0 member is normalized to zero, which removes the identity
-    operator from the solution space.  Candidate nullspace vectors must
-    factor as (numerators, gamma_n * denominator) with pairwise distinct
-    eigenvalues and nonzero extreme shifts.  The system takes every
-    nondegenerate member of the family.  The winner is checked once more,
-    each eigen-equation as an exact polynomial identity in x, which holds
-    at every lattice point.  Returns None when no such operator exists at
-    any rung of the ladder.
+    operator from the solution space.  The denominator has degree t and
+    the numerators degree t + r, for t = r(r+1)/2 (the degree of every
+    Krall operator found so far, as the D-operator construction gives)
+    and then t + 1; one system is solved per degree.  Kernel vectors are
+    tried in order and must factor as (numerators, gamma_n * denominator)
+    with pairwise distinct eigenvalues and nonzero extreme shifts.  The
+    system takes every nondegenerate member of the family.  The winner is
+    checked once more, each eigen-equation as an exact polynomial identity
+    in x, which holds at every lattice point.  Returns None when no such
+    operator exists at either degree.
     """
     if isinstance(fam, Family):
         polys, (a, b) = fam.polys, (fam.params.a, fam.params.b)
     else:
         polys, a, b = fam  # (list of polynomials in the point variable, a, b)
-    # polynomial coefficients first, then rational ones over shared
-    # denominators; the last rungs cover the degree growth seen at higher
-    # shift ranges (numerator r above the denominator)
-    tri = r * (r + 1) // 2
-    ladder = [
-        (2 * r + 2, 0),
-        (2 * r + 2, 2 * r + 1),
-        (tri + r + 1, tri + 1),
-        (tri + r + 3, tri + 3),
-    ]
     n_max = len(polys) - 1
     if n_max < 2 * r + 2:
         raise ValueError("need at least 2r + 3 family members for the search")
@@ -670,8 +663,9 @@ def operator_search(fam, r: int):
     shifted = {
         (n, j): Q[n].shift_argument(Fraction(j)) for n in usable for j in shifts
     }
-    for d1, d2 in ladder:
-        op = _operator_search_at(a, b, Q, shifted, shifts, d1, d2, usable, n_max)
+    tri = r * (r + 1) // 2
+    for t in (tri, tri + 1):
+        op = _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max)
         if op is not None:
             if not _verify_operator(op, Q, shifted):
                 raise ArithmeticError("operator failed its exact identity check")
@@ -679,21 +673,23 @@ def operator_search(fam, r: int):
     return None
 
 
-def _operator_search_at(a, b, Q, shifted, shifts, d1, d2, usable, n_max):
+def _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max):
+    """One system: numerators of degree t + r, denominator of degree t."""
+    d1 = t + max(shifts)
     n_h = len(shifts) * (d1 + 1)
     free_ns = usable[1:]  # eigenvalue of the first usable member pinned to 0
-    total_cols = n_h + len(free_ns) * (d2 + 1)
+    total_cols = n_h + len(free_ns) * (t + 1)
     rows = []
     for n in usable:
-        width = max(d1, d2) + 2 * n + 1
+        width = d1 + 2 * n + 1
         # (first column, coefficients of p, d): column first + k holds the
         # coefficients of x^k p for k = 0..d
         blocks = [
             (idx * (d1 + 1), shifted[(n, j)].coeffs, d1) for idx, j in enumerate(shifts)
         ]
         if n in free_ns:
-            off = n_h + free_ns.index(n) * (d2 + 1)
-            blocks.append((off, tuple(-c for c in Q[n].coeffs), d2))
+            off = n_h + free_ns.index(n) * (t + 1)
+            blocks.append((off, tuple(-c for c in Q[n].coeffs), t))
         for deg in range(width):
             row = [Fraction(0)] * total_cols
             touched = False
@@ -706,36 +702,22 @@ def _operator_search_at(a, b, Q, shifted, shifts, d1, d2, usable, n_max):
                         touched = True
             if touched:
                 rows.append(row)
-    basis = nullspace_exact(rows)
-    if not basis:
-        return None
-    for vec in _candidate_vectors(basis):
-        op = _assemble_operator(a, b, vec, shifts, d1, d2, usable, n_max, n_h)
+    for vec in nullspace_exact(rows):
+        op = _assemble_operator(a, b, vec, shifts, t, usable, n_max, n_h)
         if op is not None:
             return op
     return None
 
 
-def _candidate_vectors(basis):
-    yield from basis
-    if len(basis) > 1:
-        for t in range(1, 4):
-            vec = [Fraction(0)] * len(basis[0])
-            scale = Fraction(1)
-            for bvec in basis:
-                vec = [x + scale * y for x, y in zip(vec, bvec)]
-                scale *= t + 1
-            yield vec
-
-
-def _assemble_operator(a, b, vec, shifts, d1, d2, usable, n_max, n_h):
+def _assemble_operator(a, b, vec, shifts, t, usable, n_max, n_h):
     free_ns = usable[1:]
+    d1 = t + max(shifts)
     nums = {
         j: Polynomial(vec[idx * (d1 + 1) : (idx + 1) * (d1 + 1)])
         for idx, j in enumerate(shifts)
     }
     es = {
-        n: Polynomial(vec[n_h + i * (d2 + 1) : n_h + (i + 1) * (d2 + 1)])
+        n: Polynomial(vec[n_h + i * (t + 1) : n_h + (i + 1) * (t + 1)])
         for i, n in enumerate(free_ns)
     }
     den = next((e for e in es.values() if not e.is_zero), None)

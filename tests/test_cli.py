@@ -173,12 +173,37 @@ def test_missing_required_flags(capsys):
         # a negative --nmax is not an empty family
         (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2", "--nmax", "-1"],
          "n_max must be nonnegative"),
+        # a zero denominator is a malformed rational, not an internal error
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "1/0"],
+         "'1/0' has a zero denominator"),
+        (["generate", "--a", "2", "--b", "1", "--N", "3", "--M", "2", "--U", "1/0"],
+         "'1/0' has a zero denominator"),
+        # the measure limit lives on the shifted lattice, which needs
+        # distinct merged indices as construct_shifted does
+        (["verify", "--suite", "limits", "--a", "3", "--b", "2", "--N", "3",
+          "--M=2,3", "--U=-2"], "distinct merged indices"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_internal_arithmetic_error_exits_1(monkeypatch, capsys):
+    # an exact computation that contradicts itself is a failure of the
+    # program, reported on one line, not an invalid configuration
+    from kralldh import cli
+
+    def broken(fam, r):
+        raise ArithmeticError("operator failed its exact identity check")
+
+    monkeypatch.setattr(cli, "operator_search", broken)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "operator", "--a", "1", "--b", "1", "--N", "3"
+    )
+    assert code == 1 and out == ""
+    assert err == "internal error: ArithmeticError: operator failed its exact identity check\n"
 
 
 def test_verify_rejects_nmax(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kralldh.exact import IndexSet, Polynomial
+from kralldh.exact import IndexSet, Polynomial, nullspace_exact
 from kralldh.classical import dual_hahn_poly, lambda_map, lambda_poly
 from kralldh.measures import NuParams, dual_hahn_measure, dual_hahn_norm
 from kralldh.constructors import construct_basic
@@ -164,7 +164,8 @@ def test_operator_search_classical_three_term_structure():
     assert op is not None
     # the classical difference equation: eigenvalue n, rational coefficients
     assert op.gammas == tuple(F(n) for n in range(6))
-    assert op.denominator.degree > 0
+    # found at the second denominator degree, r(r+1)/2 + 1 = 2
+    assert op.denominator == Polynomial.from_roots([-1, -2])
     assert op.maps_lattice_powers(3)
 
 
@@ -195,6 +196,31 @@ def test_operator_search_finds_rational_operator_for_basic_family():
                 )
                 rhs = op.gammas[n] * op.denominator(F(x)) * q(lambda_map(1, 1, x))
                 assert lhs == rhs, (N, n, x)
+
+
+@pytest.mark.parametrize(
+    "a,b,N,r,n_max", [(1, 1, N, 2, 6) for N in range(3, 7)] + [(2, 1, 3, 3, 11)]
+)
+def test_operator_search_solves_one_system_at_the_first_degree(
+    monkeypatch, a, b, N, r, n_max
+):
+    # the certificates of the tests and the benchmark sit at denominator
+    # degree r(r+1)/2, where the kernel is one-dimensional
+    from kralldh import verify
+
+    dims = []
+
+    def capture(rows):
+        basis = nullspace_exact(rows)
+        dims.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(verify, "nullspace_exact", capture)
+    fam = construct_basic(NuParams(a, b, N, (F(2),)), n_max=n_max, extend=True)
+    op = operator_search(fam, r=r)
+    assert op is not None
+    assert op.denominator.degree == r * (r + 1) // 2
+    assert dims == [1]
 
 
 def test_operator_search_negative_control():
