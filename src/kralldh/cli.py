@@ -353,6 +353,11 @@ def _suite_operator(args):
 
 
 def _suite_flip(args):
+    if args.suite == "flip" and args.U:
+        # under --suite all, --U is meant for the limit and equivalence suites
+        raise ValueError(
+            "--suite flip takes no --U: the flipped rows have no Christoffel points"
+        )
     records = []
     size = _explicit_size(args, "flip", ("a", "b"))
     pairs = [size] if size is not None else [(1, 2), (1, 3), (2, 3)]

@@ -14,8 +14,10 @@ Three representations of the same orthogonal family are built here:
 
 Existence of the family is equivalent to nonvanishing of the leading
 minors, which are returned along with the polynomials and the closed-form
-norms.  All determinants with a polynomial row are expanded by cofactors
-along that row; the numeric minors are evaluated fraction-free.
+norms.  Each determinant with a polynomial row takes its cofactors along
+that row from one kernel vector of the numeric block below it, scaled by
+one minor (Cramer's rule); every numeric determinant is evaluated over
+the integers.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def _determinantal_family(
     degree n, one entry per auxiliary row and per Christoffel point;
     ``top(n)`` is the polynomial row, whose highest-degree entry sits in
     column ``lead_col``.  The block without that column is the leading
-    minor phi_n.  The degree-n polynomial is the cofactor expansion along
-    the polynomial row, divided exactly by ``divisor``; its leading
+    minor phi_n.  The degree-n polynomial is the determinant with the
+    polynomial row on top of the block, divided exactly by ``divisor``;
+    a block of rank below k gives the zero polynomial.  Its leading
     coefficient must be ``lead(n, phi_n)`` and its squared norm is
     ``norm(n, phi_n, phi_{n+1})``.  Beyond the support (only with
     ``extend``) a minor may vanish and no norm is given.

@@ -470,20 +470,24 @@ def derivative_at_zero(f) -> Fraction:
 
 
 def det_exact(matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+    """Exact determinant of a square matrix of ints and Fractions.
 
-    Takes a list of rows.  Intermediate entries are minors of the input,
-    which bounds coefficient blow-up; works over any exact field
-    (Fractions, or rational functions in s).
+    Takes a list of rows.  Each row is cleared of denominators, the
+    integer matrix is reduced by Bareiss elimination (Math. Comp. 22,
+    1968), in which every intermediate entry is a minor of the input and
+    every division by the previous pivot is exact, and the integer
+    determinant is divided by the product of the row scales.
     """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    cleared = [_integer_row(r) for r in matrix]
+    n = len(cleared)
+    if any(len(r) != n for r, _ in cleared):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
+    rows = [r for r, _ in cleared]
+    scale = 1
+    for _, den in cleared:
+        scale *= den
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not rows[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
@@ -491,40 +495,60 @@ def det_exact(matrix) -> Fraction:
                 return Fraction(0)
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
+        prow = rows[k]
+        pivot = prow[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
-            rows[i][k] = Fraction(0)
+                row[j] = (row[j] * pivot - f * prow[j]) // prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    return Fraction(sign * rows[-1][-1], scale) if n else Fraction(1)
 
 
 def det_with_poly_row(top_row, numeric_rows) -> Polynomial:
-    """Determinant with one polynomial row, expanded along that row.
+    """Determinant with one polynomial row on top of a k x (k+1) block.
 
-    ``top_row`` holds Polynomials; ``numeric_rows`` the remaining scalar
-    rows.  Each cofactor is a numeric determinant computed fraction-free.
+    ``top_row`` holds k+1 Polynomials; ``numeric_rows`` the k scalar rows
+    below it.  Along the polynomial row the signed cofactors
+    C_j = (-1)^j det(block without column j) form a kernel vector of the
+    block (Cramer's rule).  A block of rank k has a one-dimensional
+    kernel, spanned by the ``nullspace_exact`` vector v, so
+    C = (-1)^c det(block without column c) / v[c] * v for any column c
+    with v[c] != 0; v has a 1 in its free column, so one kernel and one
+    k x k determinant give every cofactor.  Below rank k every cofactor
+    vanishes.  The combination sum_j v[j] top_j is summed over the
+    integers, with v and the polynomials cleared of denominators, and
+    scaled once at the end.
     """
     n = len(top_row)
     if any(len(r) != n for r in numeric_rows) or len(numeric_rows) != n - 1:
         raise ValueError("cofactor expansion needs an n x n shape")
-    acc = Polynomial()
-    for j, p in enumerate(top_row):
-        if p.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in numeric_rows]
-        cof = det_exact(minor)
-        if cof:
-            acc = acc + p * ((-1) ** j * cof)
-    return acc
+    if n == 1:
+        return top_row[0]
+    basis = nullspace_exact(numeric_rows)
+    if len(basis) != 1:  # rank below k: every minor vanishes
+        return Polynomial()
+    v = basis[0]
+    c = v.index(1)
+    minor = [row[:c] + row[c + 1 :] for row in numeric_rows]
+    w, v_den = _integer_row(v)
+    terms = [(_integer_row(p.coeffs), wj) for p, wj in zip(top_row, w) if wj and p]
+    den = lcm(*(d for (_, d), _ in terms))
+    sums = [0] * max((len(coeffs) for (coeffs, _), _ in terms), default=0)
+    for (coeffs, d), wj in terms:
+        f = wj * (den // d)
+        for i, x in enumerate(coeffs):
+            sums[i] += f * x
+    scale = (-1) ** c * det_exact(minor) / (v_den * den)
+    return Polynomial(tuple(x * scale for x in sums))
 
 
-def _integer_row(row) -> list:
-    """A rational row scaled by the lcm of its denominators to ints."""
+def _integer_row(row) -> tuple:
+    """A rational row scaled by the lcm of its denominators to ints,
+    with that lcm."""
     fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     den = lcm(*(v.denominator for v in fr))
-    return [v.numerator * (den // v.denominator) for v in fr]
+    return [v.numerator * (den // v.denominator) for v in fr], den
 
 
 def _eliminate(row, c, pivot_row, support) -> list:
@@ -561,7 +585,7 @@ def nullspace_exact(rows):
     of basis vectors (lists of Fractions), one per free column with a 1
     there, empty when the kernel is trivial (or there are no rows).
     """
-    m = [_integer_row(row) for row in rows]
+    m = [_integer_row(row)[0] for row in rows]
     ncols = len(m[0]) if m else 0
     m = [row for row in m if any(row)]
     pivots = []

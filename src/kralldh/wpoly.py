@@ -43,6 +43,13 @@ from .exact import (
 )
 from .classical import hahn_poly, lambda_map, phi_pair
 
+# Entries kept by each of the row and functional-context caches.  Every
+# key holds the free parameters, so a caller that keeps drawing new ones
+# would otherwise grow them without limit; 128 keeps a repeated working
+# set of a few configurations (verify-grid's five use 48 rows and 5
+# contexts) resident.
+CACHE_SIZE = 128
+
 
 def mid_range(a: int, b: int) -> range:
     """Row indices whose Hahn rows become pairwise proportional."""
@@ -197,12 +204,13 @@ def w_poly(g: int, a: int, b: int, N, free, orientation: str = "standard") -> Po
     ``free`` is the tuple of continuous parameters (length min(a, b));
     only indices in param_range use them.  N may be any rational: the
     mirrored determinant representation passes a negative value here.
-    Results are cached (everything is immutable).
+    Results are cached, at most CACHE_SIZE of them (everything is
+    immutable).
     """
     return _w_poly_cached(g, a, b, as_scalar(N), tuple(as_scalar(m) for m in free), orientation)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _w_poly_cached(g: int, a: int, b: int, N, free, orientation: str) -> Polynomial:
     if g < 0:
         raise ValueError("row index must be nonnegative")
@@ -373,7 +381,7 @@ class PsiContext:
         return self.value(g, Polynomial.monomial(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _psi_context_cached(cls, a2, b2, N2, free, rows) -> "PsiContext":
     wfam = w_family(a2, b2, N2, free, rows=rows)
     anchor = anchor_poly(a2, b2, rows)

@@ -182,6 +182,11 @@ def test_missing_required_flags(capsys):
         # distinct merged indices as construct_shifted does
         (["verify", "--suite", "limits", "--a", "3", "--b", "2", "--N", "3",
           "--M=2,3", "--U=-2"], "distinct merged indices"),
+        # the flip suite has no Christoffel points, so --U is never ignored
+        (["verify", "--suite", "flip", "--a", "1", "--b", "2", "--N", "3", "--M", "2",
+          "--U=-2,-2"], "--suite flip takes no --U"),
+        (["verify", "--suite", "flip", "--a", "1", "--b", "2", "--N", "3", "--M", "2",
+          "--U=1/0"], "--suite flip takes no --U"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from kralldh.exact import (
     IndexSet,
@@ -76,6 +76,7 @@ def test_det_identity_and_2x2():
     eye = [[F(i == j) for j in range(3)] for i in range(3)]
     assert det_exact(eye) == 1
     assert det_exact([[F(1), F(2)], [F(3), F(4)]]) == -2
+    assert det_exact([[F(1, 2), 3], [0, F(2, 3)]]) == F(1, 3)  # ints mix in
 
 
 def test_det_hilbert_3x3():
@@ -85,12 +86,31 @@ def test_det_hilbert_3x3():
     assert det_exact(hilbert) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_det_agrees_with_cofactor(n, data):
-    rows = [
-        [data.draw(rationals) for _ in range(n)] for _ in range(n)
-    ]
+@st.composite
+def square_matrices(draw):
+    """Rational n x n matrices, n = 0..6, with zero entries common, often
+    a zero leading pivot, and singular ones from a repeated (scaled) row
+    or a zero column."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(F(0)), rationals)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[0][0] = F(0)
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        scale = draw(st.sampled_from([F(1), F(-1), F(3, 2)]))
+        rows[i] = [scale * v for v in rows[j]]
+    if n and draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[c] = F(0)
+    return rows
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_det_agrees_with_cofactor(rows):
     assert det_exact(rows) == det_cofactor(rows)
 
 
@@ -106,6 +126,61 @@ def test_det_with_poly_row_matches_scalar_case():
     for x in range(-3, 4):
         full = [[p(F(x)) for p in top]] + rest
         assert got(F(x)) == det_exact(full)
+
+
+def det_with_poly_row_reference(top_row, numeric_rows):
+    """Oracle: the cofactor expansion along the polynomial row, one
+    Laplace-expanded minor per column."""
+    n = len(top_row)
+    acc = Polynomial()
+    for j, p in enumerate(top_row):
+        minor = [[row[c] for c in range(n) if c != j] for row in numeric_rows]
+        acc = acc + p * (F((-1) ** j) * det_cofactor(minor))
+    return acc
+
+
+@st.composite
+def poly_row_blocks(draw, kind):
+    """A polynomial row over a rational k x (k+1) block, k = 0..5.
+
+    ``kind`` is "generic"; "equal-rows" (two equal rows, so the rank is
+    below k); "col0-minor" (column 1 a combination of columns 2..k, so
+    the minor without column 0 vanishes); or "last-minor" (column 0 a
+    combination of columns 1..k-1, so the minor without the last column,
+    the mirror representation's ``lead_col``, vanishes).
+    """
+    low = {"generic": 0, "equal-rows": 2}.get(kind, 1)
+    k = draw(st.integers(low, 5))
+    rows = [draw(st.lists(rationals, min_size=k + 1, max_size=k + 1)) for _ in range(k)]
+    if kind == "equal-rows":
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = list(rows[j])
+    elif kind in ("col0-minor", "last-minor"):
+        target, sources = (1, range(2, k + 1)) if kind == "col0-minor" else (0, range(1, k))
+        weights = {c: draw(rationals) for c in sources}
+        for row in rows:
+            row[target] = sum((w * row[c] for c, w in weights.items()), F(0))
+    coeffs = st.lists(st.one_of(st.just(F(0)), rationals), max_size=4)
+    top = [Polynomial(tuple(draw(coeffs))) for _ in range(k + 1)]
+    return top, rows
+
+
+@pytest.mark.parametrize("kind", ["generic", "equal-rows", "col0-minor", "last-minor"])
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_det_with_poly_row_equals_cofactor_reference(kind, data):
+    top, rows = data.draw(poly_row_blocks(kind))
+    k = len(rows)
+    got = det_with_poly_row(top, rows)
+    assert got == det_with_poly_row_reference(top, rows)
+    if kind == "equal-rows":
+        assert got.is_zero
+    elif kind != "generic":
+        # the minor named by the kind vanishes; count only blocks of rank k
+        c = 0 if kind == "col0-minor" else k
+        assert det_cofactor([row[:c] + row[c + 1 :] for row in rows]) == 0
+        assume(len(nullspace_fraction_reference(rows)) == 1)
 
 
 def test_nullspace_exact_simple():

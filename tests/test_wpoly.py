@@ -1,9 +1,12 @@
 """Auxiliary row polynomials, anchors, and row functionals."""
 
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
 
+from kralldh.cli import main
 from kralldh.exact import Polynomial, residue_inv
 from kralldh.classical import (
     apply_operator,
@@ -13,7 +16,10 @@ from kralldh.classical import (
     lambda_map,
 )
 from kralldh.wpoly import (
+    CACHE_SIZE,
     PsiContext,
+    _psi_context_cached,
+    _w_poly_cached,
     anchor_deflations,
     anchor_poly,
     eigen_defect_scale,
@@ -264,3 +270,19 @@ def test_row_functional_variants():
     assert [psi_plain(g, 0, a2, b2, 3, anchor) for g in rows] == [F(1, 25), F(1, 225)]
     wmir = w_family(2, 1, F(-2 - 3 - 2 - 1), (F(1, 2),), rows=range(2, 3))
     assert psi_mirror(2, 0, 2, 1, F(3), wmir) == F(1, 30)
+
+
+def test_row_caches_stay_bounded_under_fresh_parameters():
+    # every fresh M misses the row cache; the bound keeps it from growing
+    # with the number of requests, and still holds a repeated working set
+    assert CACHE_SIZE >= 48  # the rows of verify-grid's five configurations
+    assert _w_poly_cached.cache_info().maxsize == CACHE_SIZE
+    assert _psi_context_cached.cache_info().maxsize == CACHE_SIZE
+    _w_poly_cached.cache_clear()
+    for i in range(100):
+        argv = ["generate", "--a", "2", "--b", "1", "--N", "3", "--M", f"{i + 2}/{i + 3}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    info = _w_poly_cached.cache_info()
+    assert info.misses > CACHE_SIZE
+    assert info.currsize <= CACHE_SIZE
