@@ -65,6 +65,7 @@ from .constructors import (
 )
 from .verify import (
     GramReport,
+    IdentityContext,
     IdentityReport,
     LatticeOperator,
     operator_search,

@@ -38,6 +38,7 @@ from .constructors import (
 )
 from .wpoly import mid_range, row_range, w_family
 from .verify import (
+    IdentityContext,
     operator_search,
     orthogonality_report,
     triangular_product_report,
@@ -228,24 +229,17 @@ def _suite_identities(args):
     records = []
     a, b, N = _size_args(args, 2, 1, 3)
     M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
+    ctx = IdentityContext(a, b, N, M)
     for m in range(0, 3):
         for s in range(m - a + 1, 3):
-            records.append(
-                verify_moment_identity("nu-lower", a=a, b=b, N=N, free=M, m=m, s=s).as_record()
-            )
+            records.append(verify_moment_identity("nu-lower", ctx, m=m, s=s).as_record())
     for n in range(0, N + a + 1):
-        records.append(
-            verify_moment_identity("nu-diagonal", a=a, b=b, N=N, free=M, n=n).as_record()
-        )
+        records.append(verify_moment_identity("nu-diagonal", ctx, n=n).as_record())
     for m in range(0, 2):
         for s in range(max(0, m - b + 1), 3):
-            records.append(
-                verify_moment_identity("mirror-lower", a=a, b=b, N=N, free=M, m=m, s=s).as_record()
-            )
+            records.append(verify_moment_identity("mirror-lower", ctx, m=m, s=s).as_record())
     for n in range(0, N + b + 1):
-        records.append(
-            verify_moment_identity("mirror-diagonal", a=a, b=b, N=N, free=M, n=n).as_record()
-        )
+        records.append(verify_moment_identity("mirror-diagonal", ctx, n=n).as_record())
     rec = triangular_product_report(a, b, N, M).as_record()
     records.append(rec)
     for r in records:

@@ -81,12 +81,15 @@ class Family:
         return len(self.polys) - 1
 
 
-def _cached_dual_hahn(a, b, N):
+def _cached_dual_hahn(a, b, N, inner=None):
+    """k -> the degree-k dual Hahn polynomial, composed with ``inner`` when
+    given; each k is built once per call of the construction."""
     cache = {}
 
     def get(k: int) -> Polynomial:
         if k not in cache:
-            cache[k] = dual_hahn_poly(k, a, b, N)
+            poly = dual_hahn_poly(k, a, b, N)
+            cache[k] = poly if inner is None else poly.compose(inner)
         return cache[k]
 
     return get
@@ -373,16 +376,16 @@ def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     n_g = len(rows)
     n_u = len(U)
     wfam = w_family(aU, bU, NU, free, rows=rows)
-    R = _cached_dual_hahn(aU, bU, NU)
+    # R(k) is the dual Hahn polynomial in the translated argument x - s_shift
+    R = _cached_dual_hahn(aU, bU, NU, Polynomial((-alt.s_shift, 1)))
     measure = nu_u_transform(params, U).measure
-    shift = Polynomial((-alt.s_shift, 1))
 
     def column(n, c):
         return [wfam[g](Fraction(c - n - 1)) for g in rows]
 
     def top(n):
         return [
-            R(n - c).compose(shift)
+            R(n - c)
             * (Fraction((-1) ** c) / pochhammer(Fraction(b + N - n + c + 1), n_g - c))
             for c in range(n_g + 1)
         ]

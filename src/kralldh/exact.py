@@ -320,7 +320,12 @@ class RationalFunction:
     """Reduced quotient of polynomials in the deformation variable s.
 
     Invariants: gcd(num, den) = 1 and den is monic, so two equal rational
-    functions have identical representations.
+    functions have identical representations.  A monic denominator of
+    degree 0 is 1, and the value is then a polynomial in s (every deformed
+    dual Hahn mass is one).  Construction over a constant denominator
+    skips the gcd, and sums, differences and products of two polynomials
+    in s work on the numerators alone; the results are the ones the
+    general formulas give.
     """
 
     __slots__ = ("num", "den")
@@ -340,9 +345,11 @@ class RationalFunction:
         if num.is_zero:
             num, den = Polynomial(), Polynomial.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.divexact(g), den.divexact(g)
+            # a constant denominator is a unit: there is nothing to cancel
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num.divexact(g), den.divexact(g)
             lead = den.leading()
             if lead != 1:
                 num, den = num / lead, den / lead
@@ -387,6 +394,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFunction(self.num + other.num)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -397,6 +406,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFunction(self.num - other.num)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -409,6 +420,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

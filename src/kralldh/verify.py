@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .exact import (
@@ -34,6 +35,7 @@ from .measures import (
 )
 from .wpoly import (
     PsiContext,
+    WFamily,
     anchor_poly,
     psi_mirror,
     psi_plain,
@@ -70,73 +72,165 @@ class IdentityReport:
         }
 
 
-MOMENT_IDENTITIES = (
-    "nu-lower",
-    "nu-diagonal",
-    "christoffel-lower",
-    "christoffel-diagonal",
-    "mirror-lower",
-    "mirror-diagonal",
-    "transformed-lower",
-    "transformed-diagonal",
-)
+class _Moments:
+    """Moments of one measure against R_k(x) (x + c)^m for one family of
+    polynomials k -> R_k.  Each R_k is built and evaluated at the atoms
+    once, weighted by the masses; a moment is then a dot product."""
+
+    def __init__(self, measure: DiscreteMeasure, family, c=0):
+        self._atoms = tuple((p, p + c, w) for _, p, w in measure.atoms)
+        self._family = family
+        self._weighted = {}
+
+    def __call__(self, k: int, m: int):
+        weighted = self._weighted.get(k)
+        if weighted is None:
+            R = self._family(k)
+            weighted = self._weighted[k] = tuple((y, R(p) * w) for p, y, w in self._atoms)
+        total = Fraction(0)
+        for y, rw in weighted:
+            total = total + rw * y**m
+        return total
 
 
-def verify_moment_identity(kind: str, **kw) -> IdentityReport:
+class IdentityContext:
+    """Evaluation context of the moment identities of one configuration.
+
+    The configuration is (a, b, N, free) for the basic and mirrored
+    identities, with the points U for the transformed ones, or (a, b, N, F)
+    for the generic Christoffel ones.  The measure, the dual Hahn values at
+    its atoms and the row functionals are built once, when an identity
+    first needs them, so every identity is a dot product over stored
+    values.  Build one per configuration for a batch of identities and let
+    it go with the batch: nothing in it is kept beyond its owner.
+    """
+
+    def __init__(self, a, b, N, free=None, U=None, F=None):
+        self.a, self.b, self.N = a, b, N
+        self.free, self.U, self.F = free, U, F
+        # checked before any identity runs
+        self.params = NuParams(a, b, N, free) if free is not None else None
+        self._plain = {}
+
+    @cached_property
+    def nu(self) -> DiscreteMeasure:
+        return nu_basic(self.params)
+
+    @cached_property
+    def psi(self) -> PsiContext:
+        return PsiContext.build(self.a, self.b, self.N, self.free)
+
+    @cached_property
+    def nu_moments(self) -> _Moments:
+        a, b, N = self.a, self.b, self.N
+        return _Moments(self.nu, lambda k: dual_hahn_poly(k, a, b, N))
+
+    @cached_property
+    def mirror_moments(self) -> _Moments:
+        """Dual Hahn rows with a and b exchanged, argument shifted by a+b."""
+        a, b, N = self.a, self.b, self.N
+        return _Moments(self.nu, lambda k: dual_hahn_poly(k, b, a, N), a + b)
+
+    @cached_property
+    def wmir(self) -> WFamily:
+        a, b, N = self.a, self.b, self.N
+        inv = tuple(1 / Fraction(x) for x in self.free)
+        return w_family(a, b, Fraction(-2 - N - a - b), inv, rows=range(a, a + b))
+
+    @cached_property
+    def alt(self):
+        return alt_params(self.a, self.b, self.N, self.U)
+
+    @cached_property
+    def alt_psi(self) -> PsiContext:
+        alt = self.alt
+        return PsiContext.build(
+            alt.a_alt, alt.b_alt, alt.N_alt, self.free, rows=list(alt.G_rows)
+        )
+
+    @cached_property
+    def transformed_moments(self) -> _Moments:
+        """Shifted-parameter dual Hahn rows in the argument x - s_shift."""
+        alt = self.alt
+        shift = Polynomial((-alt.s_shift, 1))
+        nuU = nu_u_transform(self.params, self.U).measure
+        return _Moments(
+            nuU,
+            lambda k: dual_hahn_poly(k, alt.a_alt, alt.b_alt, alt.N_alt).compose(shift),
+            -alt.s_shift,
+        )
+
+    @cached_property
+    def christoffel_moments(self) -> _Moments:
+        a, b, N = self.a, self.b, self.N
+        return _Moments(
+            rho_transformed(a, b, N, self.F), lambda k: dual_hahn_poly(k, a, b, N)
+        )
+
+    @cached_property
+    def christoffel_rows(self) -> dict:
+        """Row g of I(F) -> the Hahn polynomial h_g^{-a,-b,-2-N}."""
+        return {g: _hahn_neg(g, self.a, self.b, self.N) for g in involution(self.F)}
+
+    @cached_property
+    def christoffel_anchor(self) -> Polynomial:
+        return anchor_poly(self.a, self.b, involution(self.F).elements)
+
+    def plain_functional(self, g: int, m: int) -> Fraction:
+        """``psi_plain`` of a Christoffel row, once per (g, m)."""
+        key = (g, m)
+        if key not in self._plain:
+            self._plain[key] = psi_plain(
+                g, m, self.a, self.b, self.N, self.christoffel_anchor
+            )
+        return self._plain[key]
+
+
+def verify_moment_identity(kind: str, context: IdentityContext = None, **kw) -> IdentityReport:
     """Evaluate both sides of one moment identity exactly.
 
     The left side is always an inner product over the relevant measure;
-    the right side a weighted sum of row polynomial evaluations.  See the
-    per-kind helpers for the required keyword arguments.
+    the right side a weighted sum of row polynomial evaluations.  The
+    configuration comes either as keywords (a, b, N and free, U or F, as
+    the kind needs), for one identity on its own, or as ``context``, an
+    IdentityContext shared by a batch of identities of one configuration.
+    The remaining keywords are the indices (m and s, or n); see the
+    per-kind helpers.
     """
-    if kind == "nu-lower":
-        return _nu_lower(**kw)
-    if kind == "nu-diagonal":
-        return _nu_diagonal(**kw)
-    if kind == "christoffel-lower":
-        return _christoffel_lower(**kw)
-    if kind == "christoffel-diagonal":
-        return _christoffel_diagonal(**kw)
-    if kind == "mirror-lower":
-        return _mirror_lower(**kw)
-    if kind == "mirror-diagonal":
-        return _mirror_diagonal(**kw)
-    if kind == "transformed-lower":
-        return _transformed_lower(**kw)
-    if kind == "transformed-diagonal":
-        return _transformed_diagonal(**kw)
-    raise ValueError(f"unknown identity kind {kind!r}")
+    helper = _IDENTITY_HELPERS.get(kind)
+    if helper is None:
+        raise ValueError(f"unknown identity kind {kind!r}")
+    if context is None:
+        config = {k: kw.pop(k) for k in ("a", "b", "N", "free", "U", "F") if k in kw}
+        context = IdentityContext(**config)
+    return helper(context, **kw)
 
 
-def _nu_lower(a: int, b: int, N: int, free, m: int, s: int) -> IdentityReport:
+def _nu_lower(ctx: IdentityContext, m: int, s: int) -> IdentityReport:
     """Lower-triangular identity on the basic measure: the moment of the
     degree-s dual Hahn polynomial is a weighted sum of row values at -s-1.
     Valid for m - a + 1 <= s (negative s means a zero left side)."""
-    params = NuParams(a, b, N, free)
-    nu = nu_basic(params)
-    psi = PsiContext.build(a, b, N, free)
-    R = dual_hahn_poly(s, a, b, N)
+    a, b, N, psi = ctx.a, ctx.b, ctx.N, ctx.psi
     lhs = (
         Fraction((-1) ** (a + s + 1))
-        * inner_product(R, Polynomial.monomial(m), nu)
+        * ctx.nu_moments(s, m)
         / (factorial(a - 1) * pochhammer(Fraction(N + 2), b - 1))
     )
     rhs = pochhammer(Fraction(b + N - s + 1), s) * sum(
         (psi.value_power(g, m) * psi.wfam[g](Fraction(-s - 1)) for g in row_range(a, b)),
         Fraction(0),
     )
-    return IdentityReport("nu-lower", dict(a=a, b=b, N=N, free=free, m=m, s=s), lhs, rhs)
+    return IdentityReport(
+        "nu-lower", dict(a=a, b=b, N=N, free=ctx.free, m=m, s=s), lhs, rhs
+    )
 
 
-def _nu_diagonal(a: int, b: int, N: int, free, n: int) -> IdentityReport:
+def _nu_diagonal(ctx: IdentityContext, n: int) -> IdentityReport:
     """Diagonal identity on the basic measure, 0 <= n <= N + a."""
-    params = NuParams(a, b, N, free)
-    nu = nu_basic(params)
-    psi = PsiContext.build(a, b, N, free)
-    R = dual_hahn_poly(n - a, a, b, N)
+    a, b, N, psi = ctx.a, ctx.b, ctx.N, ctx.psi
     lhs = (
         Fraction((-1) ** (n + 1))
-        * inner_product(R, Polynomial.monomial(n), nu)
+        * ctx.nu_moments(n - a, n)
         / (
             factorial(a - 1)
             * pochhammer(Fraction(N + 2), b - 1)
@@ -149,7 +243,7 @@ def _nu_diagonal(a: int, b: int, N: int, free, n: int) -> IdentityReport:
         (psi.value_power(g, n) * psi.wfam[g](Fraction(-n + a - 1)) for g in row_range(a, b)),
         Fraction(0),
     )
-    return IdentityReport("nu-diagonal", dict(a=a, b=b, N=N, free=free, n=n), lhs, rhs)
+    return IdentityReport("nu-diagonal", dict(a=a, b=b, N=N, free=ctx.free, n=n), lhs, rhs)
 
 
 def _christoffel_constant(a, b, N: int, F: IndexSet) -> Fraction:
@@ -163,20 +257,16 @@ def _christoffel_constant(a, b, N: int, F: IndexSet) -> Fraction:
     )
 
 
-def _christoffel_lower(a, b, N: int, F: IndexSet, m: int, s: int) -> IdentityReport:
+def _christoffel_lower(ctx: IdentityContext, m: int, s: int) -> IdentityReport:
     """Lower-triangular identity for the Christoffel transform of the dual
     Hahn measure at generic parameters (a, b > max F).  Valid for
     m - |I(F)| + 1 <= s."""
-    G = involution(F)
-    rho = rho_transformed(a, b, N, F)
-    p = anchor_poly(a, b, G.elements)
-    R = dual_hahn_poly(s, a, b, N)
-    lhs = inner_product(R, Polynomial.monomial(m), rho)
+    a, b, N, F = ctx.a, ctx.b, ctx.N, ctx.F
+    lhs = ctx.christoffel_moments(s, m)
     total = sum(
         (
-            psi_plain(g, m, a, b, N, p)
-            * _hahn_neg(g, a, b, N)(Fraction(-s - 1))
-            for g in G
+            ctx.plain_functional(g, m) * h(Fraction(-s - 1))
+            for g, h in ctx.christoffel_rows.items()
         ),
         Fraction(0),
     )
@@ -190,7 +280,7 @@ def _christoffel_lower(a, b, N: int, F: IndexSet, m: int, s: int) -> IdentityRep
     )
 
 
-def _christoffel_diagonal(a, b, N: int, F: IndexSet, n: int) -> IdentityReport:
+def _christoffel_diagonal(ctx: IdentityContext, n: int) -> IdentityReport:
     """Diagonal identity for the generic Christoffel transform.
 
     The normalizing factorial ratio is implemented as the rising factorial
@@ -198,24 +288,21 @@ def _christoffel_diagonal(a, b, N: int, F: IndexSet, n: int) -> IdentityReport:
     exponent n - |G| + 1 (both forced by exact checking; the same reading
     reduces to the basic one at the merged index set).
     """
-    G = involution(F)
-    n_g = len(G)
-    rho = rho_transformed(a, b, N, F)
-    p = anchor_poly(a, b, G.elements)
-    R = dual_hahn_poly(n - n_g, a, b, N)
+    a, b, N, F = ctx.a, ctx.b, ctx.N, ctx.F
+    n_g = len(ctx.christoffel_rows)
     c = _christoffel_constant(a, b, N, F)
     lhs = (
         Fraction((-1) ** (n - n_g))
         * c
-        * inner_product(R, Polynomial.monomial(n), rho)
+        * ctx.christoffel_moments(n - n_g, n)
         / pochhammer(b + N - n + n_g + 1, n - n_g + 1)
     )
     rhs = Fraction((-1) ** (n + 1)) * pochhammer(a, n - n_g + 1) * factorial(N + 1) / factorial(
         N + n_g - n
     ) + sum(
         (
-            psi_plain(g, n, a, b, N, p) * _hahn_neg(g, a, b, N)(Fraction(-n + n_g - 1))
-            for g in G
+            ctx.plain_functional(g, n) * h(Fraction(-n + n_g - 1))
+            for g, h in ctx.christoffel_rows.items()
         ),
         Fraction(0),
     )
@@ -239,16 +326,11 @@ def _mirror_prefactor(a: int, b: int, N: int, k: int) -> Fraction:
     )
 
 
-def _mirror_lower(a: int, b: int, N: int, free, m: int, s: int) -> IdentityReport:
+def _mirror_lower(ctx: IdentityContext, m: int, s: int) -> IdentityReport:
     """Lower-triangular identity on the mirrored side (a and b exchanged
     in the dual Hahn row, argument shifted by a+b)."""
-    params = NuParams(a, b, N, free)
-    nu = nu_basic(params)
-    inv = tuple(1 / Fraction(x) for x in free)
-    wmir = w_family(a, b, Fraction(-2 - N - a - b), inv, rows=range(a, a + b))
-    R = dual_hahn_poly(s, b, a, N)
-    arg = Polynomial((a + b, 1)) ** m
-    lhs = inner_product(R, arg, nu)
+    a, b, N, wmir = ctx.a, ctx.b, ctx.N, ctx.wmir
+    lhs = ctx.mirror_moments(s, m)
     rhs = _mirror_prefactor(a, b, N, s + b) * sum(
         (
             psi_mirror(f, m, a, b, N, wmir) * wmir[f](Fraction(a + N - s))
@@ -256,18 +338,15 @@ def _mirror_lower(a: int, b: int, N: int, free, m: int, s: int) -> IdentityRepor
         ),
         Fraction(0),
     )
-    return IdentityReport("mirror-lower", dict(a=a, b=b, N=N, free=free, m=m, s=s), lhs, rhs)
+    return IdentityReport(
+        "mirror-lower", dict(a=a, b=b, N=N, free=ctx.free, m=m, s=s), lhs, rhs
+    )
 
 
-def _mirror_diagonal(a: int, b: int, N: int, free, n: int) -> IdentityReport:
+def _mirror_diagonal(ctx: IdentityContext, n: int) -> IdentityReport:
     """Diagonal identity on the mirrored side, 0 <= n <= N + b."""
-    params = NuParams(a, b, N, free)
-    nu = nu_basic(params)
-    inv = tuple(1 / Fraction(x) for x in free)
-    wmir = w_family(a, b, Fraction(-2 - N - a - b), inv, rows=range(a, a + b))
-    R = dual_hahn_poly(n - b, b, a, N)
-    arg = Polynomial((a + b, 1)) ** n
-    lhs = inner_product(R, arg, nu)
+    a, b, N, wmir = ctx.a, ctx.b, ctx.N, ctx.wmir
+    lhs = ctx.mirror_moments(n - b, n)
     rhs = factorial(n) * pochhammer(Fraction(b + N + 1 - n), a) * pochhammer(
         Fraction(-a - b - N), n
     ) ** 2 / pochhammer(Fraction(b + N + 1), a) ** 2 + _mirror_prefactor(
@@ -279,28 +358,20 @@ def _mirror_diagonal(a: int, b: int, N: int, free, n: int) -> IdentityReport:
         ),
         Fraction(0),
     )
-    return IdentityReport("mirror-diagonal", dict(a=a, b=b, N=N, free=free, n=n), lhs, rhs)
+    return IdentityReport(
+        "mirror-diagonal", dict(a=a, b=b, N=N, free=ctx.free, n=n), lhs, rhs
+    )
 
 
-def _transformed_setup(a, b, N, free, U):
-    params = NuParams(a, b, N, free)
-    nuU = nu_u_transform(params, U).measure
-    alt = alt_params(a, b, N, U)
-    psi = PsiContext.build(alt.a_alt, alt.b_alt, alt.N_alt, free, rows=list(alt.G_rows))
-    shift = Polynomial((-alt.s_shift, 1))
-    return nuU, alt, psi, shift
-
-
-def _transformed_lower(a, b, N, free, U, m: int, s: int) -> IdentityReport:
+def _transformed_lower(ctx: IdentityContext, m: int, s: int) -> IdentityReport:
     """Lower-triangular identity for the integer-point Christoffel
     transform, written in the shifted parameters."""
-    nuU, alt, psi, shift = _transformed_setup(a, b, N, free, U)
+    a, b, N, alt, psi = ctx.a, ctx.b, ctx.N, ctx.alt, ctx.alt_psi
     rows = list(alt.G_rows)
     n_g = len(rows)
-    R = dual_hahn_poly(s, alt.a_alt, alt.b_alt, alt.N_alt).compose(shift)
     lhs = (
         factorial(alt.N_alt + 1)
-        * inner_product(R, shift**m, nuU)
+        * ctx.transformed_moments(s, m)
         / (
             Fraction((-1) ** (n_g + s + 1))
             * factorial(alt.a_alt - 1)
@@ -312,20 +383,22 @@ def _transformed_lower(a, b, N, free, U, m: int, s: int) -> IdentityReport:
         Fraction(0),
     )
     return IdentityReport(
-        "transformed-lower", dict(a=a, b=b, N=N, free=free, U=tuple(U), m=m, s=s), lhs, rhs
+        "transformed-lower",
+        dict(a=a, b=b, N=N, free=ctx.free, U=tuple(ctx.U), m=m, s=s),
+        lhs,
+        rhs,
     )
 
 
-def _transformed_diagonal(a, b, N, free, U, n: int) -> IdentityReport:
+def _transformed_diagonal(ctx: IdentityContext, n: int) -> IdentityReport:
     """Diagonal identity for the integer-point Christoffel transform."""
-    nuU, alt, psi, shift = _transformed_setup(a, b, N, free, U)
+    a, b, N, alt, psi = ctx.a, ctx.b, ctx.N, ctx.alt, ctx.alt_psi
     rows = list(alt.G_rows)
-    n_g, n_u = len(rows), len(U)
-    R = dual_hahn_poly(n - n_g, alt.a_alt, alt.b_alt, alt.N_alt).compose(shift)
+    n_g, n_u = len(rows), len(ctx.U)
     lhs = (
         Fraction((-1) ** (n + 1))
         * factorial(alt.N_alt + 1)
-        * inner_product(R, shift**n, nuU)
+        * ctx.transformed_moments(n - n_g, n)
         / (
             factorial(alt.a_alt - 1)
             * factorial(N + b)
@@ -341,8 +414,24 @@ def _transformed_diagonal(a, b, N, free, U, n: int) -> IdentityReport:
         Fraction(0),
     )
     return IdentityReport(
-        "transformed-diagonal", dict(a=a, b=b, N=N, free=free, U=tuple(U), n=n), lhs, rhs
+        "transformed-diagonal",
+        dict(a=a, b=b, N=N, free=ctx.free, U=tuple(ctx.U), n=n),
+        lhs,
+        rhs,
     )
+
+
+_IDENTITY_HELPERS = {
+    "nu-lower": _nu_lower,
+    "nu-diagonal": _nu_diagonal,
+    "christoffel-lower": _christoffel_lower,
+    "christoffel-diagonal": _christoffel_diagonal,
+    "mirror-lower": _mirror_lower,
+    "mirror-diagonal": _mirror_diagonal,
+    "transformed-lower": _transformed_lower,
+    "transformed-diagonal": _transformed_diagonal,
+}
+MOMENT_IDENTITIES = tuple(_IDENTITY_HELPERS)
 
 
 def triangular_product_report(a: int, b: int, N: int, free) -> IdentityReport:
@@ -351,10 +440,12 @@ def triangular_product_report(a: int, b: int, N: int, free) -> IdentityReport:
     nonzero."""
     psi = PsiContext.build(a, b, N, free)
     rows = list(row_range(a, b))
+    # each row polynomial at 0..a-1, evaluated once for every i
+    wvals = {g: [psi.wfam[g](Fraction(l)) for l in range(a)] for g in rows}
     prod = [
         [
             sum(
-                (psi.value_power(g, a - i) * psi.wfam[g](Fraction(l - 1)) for g in rows),
+                (psi.value_power(g, a - i) * wvals[g][l - 1] for g in rows),
                 Fraction(0),
             )
             for l in range(1, a + 1)

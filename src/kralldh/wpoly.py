@@ -343,12 +343,15 @@ def u_correction(i: int, r: Polynomial, a2, b2, deflations: dict, cond_set) -> F
 class PsiContext:
     """Normalized row functionals used by the moment identities.
 
-    ``value(g, r)`` evaluates the functional of row g on the polynomial
-    argument r (monomials x^m are the classical case).  Three regimes:
-    doubled lower rows take the derivative correction and the residue of
-    1/anchor; the proportional window divides by the deflation and the
-    Hahn value at 0; every other row uses the residue and the row
-    polynomial's value at 0.
+    ``value_power(g, m)`` is the functional of row g on the monomial x^m.
+    Three regimes: doubled lower rows take the derivative correction and
+    the residue of 1/anchor; the proportional window divides by the
+    deflation and the Hahn value at 0; every other row uses the residue
+    and the row polynomial's value at 0.  Each row's constants are
+    computed once, when the context is built: the lattice eigenvalue ev,
+    the derivative correction's deflation ratio (0 off the pairing
+    condition set) and the normalizing scale, so that the functional of
+    x^m is (ev^m + m ev^(m-1) ratio) scale.
     """
 
     a2: int
@@ -358,6 +361,7 @@ class PsiContext:
     anchor: Polynomial
     deflations: dict
     cond: frozenset
+    row_constants: dict
 
     @classmethod
     def build(cls, a2: int, b2: int, N2, free, rows=None) -> "PsiContext":
@@ -366,19 +370,9 @@ class PsiContext:
             cls, a2, b2, as_scalar(N2), tuple(as_scalar(m) for m in free), rows
         )
 
-    def value(self, g: int, r: Polynomial) -> Fraction:
-        ev = lambda_map(self.a2, self.b2, -g - 1)
-        root = -ev
-        if g in mid_range(self.a2, self.b2):
-            h0 = hahn_poly(g, Fraction(-self.a2), Fraction(-self.b2), -2 - self.N2)(
-                Fraction(0)
-            )
-            return r(ev) / (self.deflations[g](root) * h0)
-        u = u_correction(g, r, self.a2, self.b2, self.deflations, self.cond)
-        return (r(ev) + u) * residue_inv(self.anchor, root) / self.wfam[g](Fraction(0))
-
     def value_power(self, g: int, m: int) -> Fraction:
-        return self.value(g, Polynomial.monomial(m))
+        ev, ratio, scale = self.row_constants[g]
+        return (ev**m + m * ev ** (m - 1) * ratio) * scale
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -387,7 +381,19 @@ def _psi_context_cached(cls, a2, b2, N2, free, rows) -> "PsiContext":
     anchor = anchor_poly(a2, b2, rows)
     defl = anchor_deflations(a2, b2, rows, anchor)
     cond = frozenset(pairing_condition_set(a2, b2, rows))
-    return cls(a2, b2, N2, wfam, anchor, defl, cond)
+    linear = Polynomial.x()
+    constants = {}
+    for g in rows:
+        ev = lambda_map(a2, b2, -g - 1)
+        root = -ev
+        if g in mid_range(a2, b2):
+            h0 = hahn_poly(g, Fraction(-a2), Fraction(-b2), -2 - N2)(Fraction(0))
+            constants[g] = (ev, Fraction(0), 1 / (defl[g](root) * h0))
+        else:
+            # the correction of the argument x is the ratio itself
+            ratio = u_correction(g, linear, a2, b2, defl, cond)
+            constants[g] = (ev, ratio, residue_inv(anchor, root) / wfam[g](Fraction(0)))
+    return cls(a2, b2, N2, wfam, anchor, defl, cond, constants)
 
 
 def psi_plain(g: int, m: int, a2, b2, N, anchor: Polynomial) -> Fraction:

@@ -30,6 +30,7 @@ from kralldh.constructors import (
     recurrence_coeffs,
 )
 from kralldh.verify import (
+    IdentityContext,
     operator_search,
     triangular_product_report,
     verify_evaluation_limit,
@@ -243,6 +244,9 @@ def test_criterion_07_limit_suite():
 
 
 def test_criterion_08_moment_identities():
+    # one evaluation context per configuration: the measure, the dual Hahn
+    # values at its atoms and the row functionals are built once for all
+    # of that configuration's identities
     start = time.time()
     patterns = {
         1: [(F(2),), (F(1, 2),), (F(-3),)],
@@ -253,17 +257,14 @@ def test_criterion_08_moment_identities():
         for b in range(1, a + 1):
             for N in range(a, 6):
                 for free in patterns[b]:
+                    ctx = IdentityContext(a, b, N, free)
                     for n in range(0, 5):
                         for m in range(0, n + 1):
                             for s in range(m - a + 1, n + 1):
-                                rep = verify_moment_identity(
-                                    "nu-lower", a=a, b=b, N=N, free=free, m=m, s=s
-                                )
+                                rep = verify_moment_identity("nu-lower", ctx, m=m, s=s)
                                 assert rep.passed, rep.as_record()
                     for n in range(0, N + a + 1):
-                        rep = verify_moment_identity(
-                            "nu-diagonal", a=a, b=b, N=N, free=free, n=n
-                        )
+                        rep = verify_moment_identity("nu-diagonal", ctx, n=n)
                         assert rep.passed, rep.as_record()
                     # order-zero minor never vanishes, via the triangular
                     # product structure with the stated diagonal
@@ -271,18 +272,14 @@ def test_criterion_08_moment_identities():
     # mirrored identities (the lower range extends below zero exactly
     # down to m - b + 1)
     for a, b, N in [(2, 1, 3), (2, 2, 4), (3, 2, 4), (3, 1, 5)]:
-        free = positive_free(b)
+        ctx = IdentityContext(a, b, N, positive_free(b))
         for n in range(0, 4):
             for m in range(0, n + 1):
                 for s in range(m - b + 1, n + 1):
-                    rep = verify_moment_identity(
-                        "mirror-lower", a=a, b=b, N=N, free=free, m=m, s=s
-                    )
+                    rep = verify_moment_identity("mirror-lower", ctx, m=m, s=s)
                     assert rep.passed, rep.as_record()
         for n in range(0, N + b + 1):
-            rep = verify_moment_identity(
-                "mirror-diagonal", a=a, b=b, N=N, free=free, n=n
-            )
+            rep = verify_moment_identity("mirror-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
     # generic-parameter transforms over merge sets inside {1,2,3}
     for els in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]:
@@ -291,35 +288,28 @@ def test_criterion_08_moment_identities():
         b = F(Fset.max + 1) + F(3, 2)
         N = 4
         n_g = Fset.max - len(Fset) + 1
+        ctx = IdentityContext(a, b, N, F=Fset)
         for n in range(0, 5):
             for m in range(0, n + 1):
                 for s in range(m - n_g + 1, n + 1):
-                    rep = verify_moment_identity(
-                        "christoffel-lower", a=a, b=b, N=N, F=Fset, m=m, s=s
-                    )
+                    rep = verify_moment_identity("christoffel-lower", ctx, m=m, s=s)
                     assert rep.passed, rep.as_record()
         for n in range(0, N + n_g + 1):
-            rep = verify_moment_identity(
-                "christoffel-diagonal", a=a, b=b, N=N, F=Fset, n=n
-            )
+            rep = verify_moment_identity("christoffel-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
     # integer-point transforms in the shifted parameters
     for a, b, N, U in [(2, 1, 3, (1,)), (2, 2, 4, (-3,)), (2, 1, 4, (1, 2))]:
-        free = positive_free(b)
         from kralldh.constructors import alt_params
 
+        ctx = IdentityContext(a, b, N, positive_free(b), U=U)
         n_g = len(alt_params(a, b, N, U).G_rows)
         for n in range(0, 4):
             for m in range(0, n + 1):
                 for s in range(m - n_g + 1, n + 1):
-                    rep = verify_moment_identity(
-                        "transformed-lower", a=a, b=b, N=N, free=free, U=U, m=m, s=s
-                    )
+                    rep = verify_moment_identity("transformed-lower", ctx, m=m, s=s)
                     assert rep.passed, rep.as_record()
         for n in range(0, a + N - len(U) + 2):
-            rep = verify_moment_identity(
-                "transformed-diagonal", a=a, b=b, N=N, free=free, U=U, n=n
-            )
+            rep = verify_moment_identity("transformed-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
     report(8, "moment-identities", time.time() - start)
 

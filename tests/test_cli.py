@@ -241,3 +241,25 @@ def test_generate_builds_no_rational_functions(monkeypatch, capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
     assert built == []
+
+
+def test_identities_suite_builds_each_measure_once(monkeypatch, capsys):
+    # one evaluation context per call: the 41 identities at this size
+    # share one measure instead of building one each
+    from kralldh import measures, verify
+
+    built = []
+    nu_basic = measures.nu_basic
+
+    def counting_nu_basic(params):
+        built.append(params)
+        return nu_basic(params)
+
+    monkeypatch.setattr(measures, "nu_basic", counting_nu_basic)
+    monkeypatch.setattr(verify, "nu_basic", counting_nu_basic)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "identities", "--a", "4", "--b", "2", "--N", "6",
+        "--M=3/2,5", "--U", "1",
+    )
+    assert code == 0 and len(out.splitlines()) == 42
+    assert built and len(built) == len(set(built))

@@ -16,6 +16,7 @@ from kralldh.exact import (
     limit_at_zero,
     nullspace_exact,
     pochhammer,
+    poly_gcd,
     poly_to_strings,
     residue_inv,
     scalar_from_str,
@@ -360,6 +361,50 @@ def test_rational_function_arithmetic_matches_pointwise(p, q, r, w):
         assert (f + g)(t) == f(t) + g(t)
         if g(t):
             assert (f / g)(t) == f(t) / g(t)
+
+
+def reduced_reference(num, den):
+    """The general normalization, with no constant-denominator shortcut:
+    divide by the monic gcd, then make the denominator monic."""
+    if num.is_zero:
+        return Polynomial(), Polynomial.one()
+    g = poly_gcd(num, den)
+    num, den = num.divexact(g), den.divexact(g)
+    return num / den.leading(), den / den.leading()
+
+
+polys_in_s = st.lists(st.one_of(st.just(F(0)), rationals), max_size=4).map(
+    lambda cs: Polynomial(tuple(cs))
+)
+denominators_in_s = st.one_of(
+    # constants other than 1 included; polynomials vanishing at 0 included
+    st.sampled_from([F(1), F(3), F(-1, 2)]).map(lambda c: Polynomial((c,))),
+    polys_in_s.filter(lambda p: not p.is_zero),
+)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(polys_in_s, denominators_in_s, polys_in_s, denominators_in_s)
+def test_rational_function_fast_paths_equal_general_formulas(n1, d1, n2, d2):
+    f, g = RationalFunction(n1, d1), RationalFunction(n2, d2)
+    assert (f.num, f.den) == reduced_reference(n1, d1)
+    assert (g.num, g.den) == reduced_reference(n2, d2)
+    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
+    results = {
+        "add": (f + g, (n1 * d2 + n2 * d1, d1 * d2)),
+        "sub": (f - g, (n1 * d2 - n2 * d1, d1 * d2)),
+        "mul": (f * g, (n1 * n2, d1 * d2)),
+        "self-sub": (f - f, (Polynomial(), d1 * d1)),
+    }
+    for name, (got, (num, den)) in results.items():
+        num, den = reduced_reference(num, den)
+        assert (got.num, got.den) == (num, den), name
+        if den(F(0)):
+            assert limit_at_zero(got) == num(F(0)) / den(F(0)), name
+        else:
+            with pytest.raises(PoleAtZeroError):
+                limit_at_zero(got)
 
 
 # --- polynomials -------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The pinned grid is `generate` for three sizes, every representation and
 no, one or two Christoffel points, plus one CSV case, `verify --suite
-all` and the (2,1) operator certificate.  Each file under tests/golden/
+all`, the (2,1) operator certificate, and the limit and identity suites
+at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1).  Each file under tests/golden/
 holds the exit code on its first line and the exact stdout after it.
 After a deliberate output change, rewrite the files with
 
@@ -47,6 +48,11 @@ def golden_cases() -> dict:
     cases["verify_operator_2_1_3"] = [
         "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "3"
     ]
+    for suite in ("limits", "identities"):
+        cases[f"verify_{suite}_4_2_6"] = [
+            "verify", "--suite", suite, "--a", "4", "--b", "2", "--N", "6",
+            "--M=3/2,5", "--U", "1",
+        ]
     return cases
 
 

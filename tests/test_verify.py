@@ -11,6 +11,7 @@ from kralldh.measures import NuParams, dual_hahn_measure, dual_hahn_norm
 from kralldh.constructors import construct_basic
 from kralldh.verify import (
     MOMENT_IDENTITIES,
+    IdentityContext,
     _verify_operator,
     operator_search,
     orthogonality_report,
@@ -112,6 +113,30 @@ def test_moment_identity_dispatch():
     assert len(MOMENT_IDENTITIES) == 8
     with pytest.raises(ValueError):
         verify_moment_identity("nonsense")
+
+
+def test_shared_context_reports_equal_standalone_ones():
+    # a context shared by a batch gives each identity the record it gets
+    # on its own, whatever order the batch asks in
+    Fset = IndexSet.of((1, 2))
+    configs = [
+        (dict(a=3, b=2, N=4, free=FREE[2]), ("nu", "mirror")),
+        (dict(a=2, b=2, N=4, free=FREE[2], U=(-3,)), ("transformed",)),
+        (dict(a=F(7, 2), b=F(9, 2), N=4, F=Fset), ("christoffel",)),
+    ]
+    for config, families in configs:
+        ctx = IdentityContext(**config)
+        for family in families:
+            for n in (3, 0, 2):
+                for m, s in ((0, n), (n, n), (n // 2, n)):
+                    shared = verify_moment_identity(f"{family}-lower", ctx, m=m, s=s)
+                    alone = verify_moment_identity(f"{family}-lower", **config, m=m, s=s)
+                    assert shared.passed and shared.as_record() == alone.as_record()
+                shared = verify_moment_identity(f"{family}-diagonal", ctx, n=n)
+                alone = verify_moment_identity(f"{family}-diagonal", **config, n=n)
+                assert shared.passed and shared.as_record() == alone.as_record()
+    with pytest.raises(TypeError):
+        verify_moment_identity("nu-lower", ctx, a=3, m=0, s=0)
 
 
 def test_triangular_product_structure():
