@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from operator import mul
 
 from .exact import (
     IndexSet,
@@ -28,7 +29,6 @@ from .classical import dual_hahn_poly, lambda_map, lambda_poly
 from .measures import (
     DiscreteMeasure,
     NuParams,
-    inner_product,
     nu_basic,
     nu_u_transform,
     rho_transformed,
@@ -668,11 +668,13 @@ class GramReport:
 
 
 def orthogonality_report(polys, measure: DiscreteMeasure, expected_norms) -> GramReport:
-    """Compute the full Gram matrix exactly and compare with expectations."""
-    n = len(polys)
+    """Compute the full Gram matrix exactly and compare with expectations.
+    Each polynomial is evaluated once per atom; an entry is then a
+    mass-weighted dot product of two rows of values."""
+    values = [[p(x) for _, x, _ in measure.atoms] for p in polys]
+    weighted = [[v * m for v, (_, _, m) in zip(row, measure.atoms)] for row in values]
     entries = tuple(
-        tuple(inner_product(polys[i], polys[j], measure) for j in range(n))
-        for i in range(n)
+        tuple(sum(map(mul, wi, vj), Fraction(0)) for vj in values) for wi in weighted
     )
     return GramReport(entries, tuple(expected_norms))
 
@@ -722,20 +724,28 @@ class LatticeOperator:
 def operator_search(fam, r: int):
     """Search for a difference operator diagonalizing the family.
 
-    Sets up the homogeneous linear system for numerator coefficients (one
-    polynomial per shift in [-r, r]) and per-degree multiples of a shared
-    denominator, all unknowns entering linearly; the eigenvalue of the
-    degree-0 member is normalized to zero, which removes the identity
-    operator from the solution space.  The denominator has degree t and
-    the numerators degree t + r, for t = r(r+1)/2 (the degree of every
-    Krall operator found so far, as the D-operator construction gives)
-    and then t + 1; one system is solved per degree.  Kernel vectors are
-    tried in order and must factor as (numerators, gamma_n * denominator)
-    with pairwise distinct eigenvalues and nonzero extreme shifts.  The
-    system takes every nondegenerate member of the family.  The winner is
+    The operator is sum_j h_j(x) p(point(x + j)) over the shifts j in
+    [-r, r], with h_j = numerators[j] / d_t.  The denominator is pinned,
+    as the D-operator construction gives it: at degree t it is the monic
+    d_t(x) = prod_{i<t} (x + (a+b+1)/2 - (t-1)/2 + i), whose t roots lie
+    one apart and are centred on -(a+b+1)/2.  The unknowns are the
+    numerator coefficients (degree t + r) and one eigenvalue gamma_n per
+    member; member n contributes the coefficients of
+    sum_j h_j(x) Q_n(x + j) - gamma_n d_t(x) Q_n(x), Q_n being the member
+    composed with the lattice map.  The first member's eigenvalue is 0,
+    which removes the identity operator from the solution space.  One
+    system is solved at t = r(r+1)/2 and, only if it yields no operator,
+    one at t + 1.  Kernel vectors are tried in order and must give
+    pairwise distinct eigenvalues and nonzero extreme shifts; the winner
+    is scaled so that the second member's eigenvalue is 1.  The system
+    takes every nondegenerate member of the family.  The winner is
     checked once more, each eigen-equation as an exact polynomial identity
     in x, which holds at every lattice point.  Returns None when no such
     operator exists at either degree.
+
+    This certifies (a,b) = (1,1), (2,1) and (2,2) at r = ab + 1; at
+    (3,1) it finds no operator at r = ab + 1 = 4, so the shift range per
+    (a,b) is not settled.
     """
     if isinstance(fam, Family):
         polys, (a, b) = fam.polys, (fam.params.a, fam.params.b)
@@ -756,7 +766,9 @@ def operator_search(fam, r: int):
     }
     tri = r * (r + 1) // 2
     for t in (tri, tri + 1):
-        op = _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max)
+        low = Fraction(a + b + 1, 2) - Fraction(t - 1, 2)
+        den = Polynomial.from_roots([-low - i for i in range(t)])
+        op = _operator_search_at(a, b, Q, shifted, shifts, den, usable, n_max)
         if op is not None:
             if not _verify_operator(op, Q, shifted):
                 raise ArithmeticError("operator failed its exact identity check")
@@ -764,12 +776,13 @@ def operator_search(fam, r: int):
     return None
 
 
-def _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max):
-    """One system: numerators of degree t + r, denominator of degree t."""
-    d1 = t + max(shifts)
+def _operator_search_at(a, b, Q, shifted, shifts, den, usable, n_max):
+    """One system: numerators of degree t + r over the denominator den of
+    degree t, and one eigenvalue column per free member."""
+    d1 = den.degree + max(shifts)
     n_h = len(shifts) * (d1 + 1)
     free_ns = usable[1:]  # eigenvalue of the first usable member pinned to 0
-    total_cols = n_h + len(free_ns) * (t + 1)
+    total_cols = n_h + len(free_ns)
     rows = []
     for n in usable:
         width = d1 + 2 * n + 1
@@ -779,8 +792,8 @@ def _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max):
             (idx * (d1 + 1), shifted[(n, j)].coeffs, d1) for idx, j in enumerate(shifts)
         ]
         if n in free_ns:
-            off = n_h + free_ns.index(n) * (t + 1)
-            blocks.append((off, tuple(-c for c in Q[n].coeffs), t))
+            off = n_h + free_ns.index(n)
+            blocks.append((off, tuple(-c for c in (den * Q[n]).coeffs), 0))
         for deg in range(width):
             row = [Fraction(0)] * total_cols
             touched = False
@@ -794,48 +807,32 @@ def _operator_search_at(a, b, Q, shifted, shifts, t, usable, n_max):
             if touched:
                 rows.append(row)
     for vec in nullspace_exact(rows):
-        op = _assemble_operator(a, b, vec, shifts, t, usable, n_max, n_h)
+        op = _assemble_operator(a, b, vec, shifts, den, usable, n_max, n_h)
         if op is not None:
             return op
     return None
 
 
-def _assemble_operator(a, b, vec, shifts, t, usable, n_max, n_h):
-    free_ns = usable[1:]
-    d1 = t + max(shifts)
-    nums = {
-        j: Polynomial(vec[idx * (d1 + 1) : (idx + 1) * (d1 + 1)])
-        for idx, j in enumerate(shifts)
-    }
-    es = {
-        n: Polynomial(vec[n_h + i * (t + 1) : n_h + (i + 1) * (t + 1)])
-        for i, n in enumerate(free_ns)
-    }
-    den = next((e for e in es.values() if not e.is_zero), None)
-    if den is None:
-        return None
-    gammas = {usable[0]: Fraction(0)}
-    for n, e in es.items():
-        if e.is_zero:
-            gammas[n] = Fraction(0)
-            continue
-        c = e.leading() / den.leading()
-        if e != den * c:
-            return None
-        gammas[n] = c
+def _assemble_operator(a, b, vec, shifts, den, usable, n_max, n_h):
+    gammas = dict(zip(usable, (Fraction(0), *vec[n_h:])))
     if len(set(gammas.values())) != len(gammas):
         return None
+    width = n_h // len(shifts)
+    nums = {
+        j: Polynomial(vec[idx * width : (idx + 1) * width])
+        for idx, j in enumerate(shifts)
+    }
     if nums[shifts[0]].is_zero or nums[shifts[-1]].is_zero:
         return None
-    lead = den.leading()
-    nums = {j: p / lead for j, p in nums.items()}
-    den = den / lead
-    full = tuple(gammas.get(n) for n in range(n_max + 1))
+    # nonzero, as it differs from the first member's eigenvalue 0
+    scale = gammas[usable[1]]
     return LatticeOperator(
         shift_bound=max(shifts),
-        numerators=nums,
+        numerators={j: p / scale for j, p in nums.items()},
         denominator=den,
-        gammas=full,
+        gammas=tuple(
+            gammas[n] / scale if n in gammas else None for n in range(n_max + 1)
+        ),
         lattice=(a, b),
     )
 

@@ -357,6 +357,35 @@ def test_criterion_09_bispectral_operators():
     report(9, "bispectral-operators", time.time() - start, 120)
 
 
+def test_criterion_09_bispectral_operator_2_2():
+    # (a,b) = (2,2) at the command line's shift range r = ab + 1 and
+    # family size 2r + 5
+    start = time.time()
+    a, b, N, r = 2, 2, 3, 5
+    n_max = 2 * r + 5
+    fam = construct_basic(NuParams(a, b, N, (F(2), F(2))), n_max=n_max, extend=True)
+    op = operator_search(fam, r=r)
+    assert op is not None
+    assert op.denominator.degree == r * (r + 1) // 2 == 15
+    assert not op.numerators[-r].is_zero and not op.numerators[r].is_zero
+    gammas = [g for g in op.gammas if g is not None]
+    assert len(set(gammas)) == len(gammas)
+    assert op.maps_lattice_powers(3)
+    # every eigen-equation by Horner's rule at lattice points, inside the
+    # support and far outside it; each polynomial is evaluated once per point
+    xs = [*range(0, N + 2), -7, 13, 29]
+    h = {x: {j: num(F(x)) for j, num in op.numerators.items()} for x in xs}
+    needed = {x + j for x in xs for j in op.numerators}
+    for n, q in enumerate(fam.polys):
+        if op.gammas[n] is None:
+            continue
+        at = {i: q(lambda_map(a, b, i)) for i in needed}
+        for x in xs:
+            lhs = sum((hj * at[x + j] for j, hj in h[x].items()), F(0))
+            assert lhs == op.gammas[n] * op.denominator(F(x)) * at[x], (n, x)
+    report(9, "bispectral-operator-2-2", time.time() - start, 30)
+
+
 def test_criterion_10_flipped_orientation():
     start = time.time()
     for a, b in [(1, 2), (1, 3), (2, 3)]:

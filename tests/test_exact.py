@@ -258,8 +258,9 @@ def test_nullspace_exact_equals_fraction_reference(rows):
 
 
 def test_nullspace_exact_on_operator_search_systems(monkeypatch):
-    # the system operator_search builds at (a,b,N) = (1,1,3), M = 2: the
-    # denominator degree r(r+1)/2 = 3 gives a one-dimensional kernel
+    # the system operator_search builds at (a,b,N) = (1,1,3), M = 2: 30
+    # numerator coefficients and 6 eigenvalues; the denominator degree
+    # r(r+1)/2 = 3 gives a one-dimensional kernel
     from kralldh import verify
     from kralldh.constructors import construct_basic
     from kralldh.measures import NuParams
@@ -273,7 +274,7 @@ def test_nullspace_exact_on_operator_search_systems(monkeypatch):
     monkeypatch.setattr(verify, "nullspace_exact", capture)
     fam = construct_basic(NuParams(1, 1, 3, (F(2),)), n_max=6, extend=True)
     assert verify.operator_search(fam, r=2) is not None
-    assert [(len(rows), len(rows[0])) for rows in systems] == [(82, 54)]
+    assert [(len(rows), len(rows[0])) for rows in systems] == [(82, 36)]
     basis = nullspace_exact(systems[0])
     assert basis == nullspace_fraction_reference(systems[0])
     assert len(basis) == 1

@@ -2,9 +2,10 @@
 
 The pinned grid is `generate` for three sizes, every representation and
 no, one or two Christoffel points, plus one CSV case, `verify --suite
-all`, the (2,1) operator certificate, and the limit and identity suites
-at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1).  Each file under tests/golden/
-holds the exit code on its first line and the exact stdout after it.
+all`, the (2,1) and (2,2) operator certificates, and the limit and
+identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1).  Each file
+under tests/golden/ holds the exit code on its first line and the exact
+stdout after it.
 After a deliberate output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -45,9 +46,10 @@ def golden_cases() -> dict:
         3, 2, 6, "2,1/2", "basic", (-4,)
     ) + ["--format", "csv"]
     cases["verify_all"] = ["verify", "--suite", "all"]
-    cases["verify_operator_2_1_3"] = [
-        "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "3"
-    ]
+    for b in (1, 2):
+        cases[f"verify_operator_2_{b}_3"] = [
+            "verify", "--suite", "operator", "--a", "2", "--b", str(b), "--N", "3"
+        ]
     for suite in ("limits", "identities"):
         cases[f"verify_{suite}_4_2_6"] = [
             "verify", "--suite", suite, "--a", "4", "--b", "2", "--N", "6",

@@ -8,10 +8,11 @@ import pytest
 from kralldh.exact import IndexSet, Polynomial, nullspace_exact
 from kralldh.classical import dual_hahn_poly, lambda_map, lambda_poly
 from kralldh.measures import NuParams, dual_hahn_measure, dual_hahn_norm
-from kralldh.constructors import construct_basic
+from kralldh.constructors import Family, construct_basic
 from kralldh.verify import (
     MOMENT_IDENTITIES,
     IdentityContext,
+    LatticeOperator,
     _verify_operator,
     operator_search,
     orthogonality_report,
@@ -255,6 +256,84 @@ def test_operator_search_negative_control():
     # the tampered family as eigenfunctions
     polys[1] = polys[1] + Polynomial((0, F(1, 7)))
     assert operator_search((polys, 1, 1), r=2) is None
+
+
+def operator_search_unpinned_reference(fam, r):
+    """The operator search without the pinned denominator: each free
+    member n gets a polynomial multiple e_n of degree t of the
+    denominator, and a kernel vector counts only if every e_n factors as
+    gamma_n * d for one d.  Same degrees t = r(r+1)/2 then t + 1, same
+    column order, kernel vectors tried in order, same normalisation (d
+    monic, the second member's eigenvalue 1); no final identity check."""
+    polys, a, b = (fam.polys, fam.params.a, fam.params.b) if isinstance(fam, Family) else fam
+    usable = [n for n, p in enumerate(polys) if p.degree == n]
+    free = usable[1:]
+    lam = lambda_poly(a, b)
+    Q = {n: polys[n].compose(lam) for n in usable}
+    tri = r * (r + 1) // 2
+    for t in (tri, tri + 1):
+        d1 = t + r
+        rows = []
+        for n in usable:
+            # the unknown (q, k) enters member n's equation as x^k q(x)
+            shifted = [Q[n].shift_argument(F(j)) for j in range(-r, r + 1)]
+            cols = [(q, k) for q in shifted for k in range(d1 + 1)]
+            cols += [
+                (-Q[n] if m == n else Polynomial.zero(), k) for m in free for k in range(t + 1)
+            ]
+            rows += [[q.coefficient(deg - k) for q, k in cols] for deg in range(d1 + 2 * n + 1)]
+        n_h = (2 * r + 1) * (d1 + 1)
+        for vec in nullspace_exact(rows):
+            nums = {
+                j: Polynomial(vec[i * (d1 + 1) : (i + 1) * (d1 + 1)])
+                for i, j in enumerate(range(-r, r + 1))
+            }
+            es = [
+                Polynomial(vec[n_h + i * (t + 1) : n_h + (i + 1) * (t + 1)])
+                for i in range(len(free))
+            ]
+            den = es[0]  # a zero e_n would repeat the first member's eigenvalue 0
+            if den.is_zero:
+                continue
+            gammas = [F(0)] + [F(0) if e.is_zero else e.leading() / den.leading() for e in es]
+            if any(e != den * g for e, g in zip(es, gammas[1:])):
+                continue
+            if len(set(gammas)) != len(gammas) or nums[-r].is_zero or nums[r].is_zero:
+                continue
+            lead = den.leading()
+            by_member = dict(zip(usable, gammas))
+            return LatticeOperator(
+                shift_bound=r,
+                numerators={j: p / lead for j, p in nums.items()},
+                denominator=den / lead,
+                gammas=tuple(by_member.get(n) for n in range(len(polys))),
+                lattice=(a, b),
+            )
+    return None
+
+
+def test_pinned_search_equals_unpinned_reference():
+    # the pinned denominator d_t and one eigenvalue per member find the
+    # operator that free per-member multiples of a common denominator find
+    cases = [
+        (construct_basic(NuParams(1, 1, N, (M,)), n_max=6, extend=True), 2)
+        for N in range(3, 7)
+        for M in (F(2), F(7, 3), F(1, 4))
+    ]
+    cases.append((construct_basic(NuParams(2, 1, 3, (F(2),)), n_max=11, extend=True), 3))
+    a, b = F(1, 2), F(3, 2)
+    cases.append((([dual_hahn_poly(n, a, b, 6) for n in range(6)], a, b), 1))
+    for fam, r in cases:
+        op, ref = operator_search(fam, r=r), operator_search_unpinned_reference(fam, r)
+        assert op is not None and ref is not None
+        assert op.numerators == ref.numerators
+        assert op.denominator == ref.denominator
+        assert op.gammas == ref.gammas
+    # the negative control: neither search finds an operator
+    polys = list(cases[0][0].polys)
+    polys[1] = polys[1] + Polynomial((0, F(1, 7)))
+    assert operator_search((polys, 1, 1), r=2) is None
+    assert operator_search_unpinned_reference((polys, 1, 1), 2) is None
 
 
 def test_verify_operator_rejects_a_perturbed_operator():
