@@ -52,16 +52,6 @@ from .verify import (
 )
 
 REPRESENTATIONS = ("basic", "dropped", "shifted", "mirror")
-SUITES = (
-    "orthogonality",
-    "identities",
-    "limits",
-    "equivalence",
-    "sizes",
-    "operator",
-    "flip",
-    "all",
-)
 
 
 def measure_to_json(measure: DiscreteMeasure) -> dict:
@@ -145,61 +135,56 @@ def _build_family(args) -> Family:
     raise ValueError(f"unknown representation {args.rep!r}")
 
 
-def run_generate(args) -> int:
-    fam = _build_family(args)
-    if args.format == "json":
-        payload = json.dumps(family_to_json(fam), indent=2, sort_keys=True) + "\n"
-    else:
-        payload = family_to_csv(fam)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return 0
-
-
-def _emit(records, out) -> int:
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+def _write(text: str, out) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all(r.get("pass", False) for r in records) else 1
 
 
-def _size_args(args, a, b, N):
-    """--a --b --N, each falling back to its default only when absent."""
-    return tuple(
-        default if given is None else given
-        for given, default in ((args.a, a), (args.b, b), (args.N, N))
-    )
+def run_generate(args) -> int:
+    fam = _build_family(args)
+    if args.format == "json":
+        text = json.dumps(family_to_json(fam), indent=2, sort_keys=True) + "\n"
+    else:
+        text = family_to_csv(fam)
+    _write(text, args.out)
+    return 0
 
 
-def _explicit_size(args, suite, names):
-    """The flags ``names`` (say "a", "b", "N") if all of them were given,
-    None if none was."""
+def _size(args, suite, default, names=("a", "b", "N")):
+    """The flags ``names`` if all of them were given, ``default`` if none
+    was (an empty default stands for the suite's own grid).  A partial
+    size is an invalid configuration, and so is a missing one where
+    ``default`` is None."""
     given = tuple(getattr(args, name) for name in names)
-    if given.count(None) == len(given):
-        return None
-    if None in given:
-        flags = " ".join(f"--{name}" for name in names)
+    if None not in given:
+        return given
+    flags = " ".join(f"--{name}" for name in names)
+    if default is None:
+        raise ValueError(f"--suite {suite} needs {flags}")
+    if given.count(None) < len(given):
         raise ValueError(f"--suite {suite} takes {flags} together or none of them")
-    return given
+    return default
+
+
+def _free(args, a, b):
+    """--M, or 2 for each of the min(a,b) free parameters."""
+    return _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
 
 
 def _gram_record(name, polys, measure, norms) -> dict:
     rep = orthogonality_report(polys, measure, norms)
-    return {"suite": "orthogonality", "case": name, "pass": rep.passed}
+    return {"case": name, "pass": rep.passed}
 
 
 def _suite_orthogonality(args):
     records = []
-    size = _explicit_size(args, "orthogonality", ("a", "b", "N"))
+    size = _size(args, "orthogonality", ())
     cases = (
         [(*size, _parse_fraction_list(args.M))]
-        if size is not None
+        if size
         else [(1, 1, 2, (Fraction(2),)), (2, 1, 3, (Fraction(2),)), (2, 2, 3, (Fraction(2), Fraction(3)))]
     )
     for a, b, N, M in cases:
@@ -227,8 +212,8 @@ def _suite_orthogonality(args):
 
 def _suite_identities(args):
     records = []
-    a, b, N = _size_args(args, 2, 1, 3)
-    M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
+    a, b, N = _size(args, "identities", (2, 1, 3))
+    M = _free(args, a, b)
     ctx = IdentityContext(a, b, N, M)
     for m in range(0, 3):
         for s in range(m - a + 1, 3):
@@ -240,22 +225,18 @@ def _suite_identities(args):
             records.append(verify_moment_identity("mirror-lower", ctx, m=m, s=s).as_record())
     for n in range(0, N + b + 1):
         records.append(verify_moment_identity("mirror-diagonal", ctx, n=n).as_record())
-    rec = triangular_product_report(a, b, N, M).as_record()
-    records.append(rec)
-    for r in records:
-        r["suite"] = "identities"
+    records.append(triangular_product_report(a, b, N, M).as_record())
     return records
 
 
 def _suite_limits(args):
     records = []
-    a, b, N = _size_args(args, 2, 1, 3)
+    a, b, N = _size(args, "limits", (2, 1, 3))
     if b > a:
         raise ValueError("--suite limits needs the standard orientation b <= a")
-    free = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
     # every value is checked before any limit runs; the deformation has one
     # parameter, so the limits take all free parameters equal to the first
-    M = NuParams(a, b, N, free).free[0]
+    M = NuParams(a, b, N, _free(args, a, b)).free[0]
     records.append(verify_measure_limit_basic(a, b, N, M).as_record())
     for g in row_range(a, b):
         if a <= g <= a + b - 1:
@@ -269,14 +250,12 @@ def _suite_limits(args):
         records.append(verify_quotient_identity(a, b, N, n).as_record())
     U = _parse_fraction_list(args.U) or (1,)
     records.append(verify_measure_limit_transformed(a, b, N, M, U).as_record())
-    for r in records:
-        r["suite"] = "limits"
     return records
 
 
 def _suite_equivalence(args):
-    a, b, N = _size_args(args, 2, 1, 3)
-    M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
+    a, b, N = _size(args, "equivalence", (2, 1, 3))
+    M = _free(args, a, b)
     U = _parse_fraction_list(args.U) or (1,)
     params = NuParams(a, b, N, M)
     f_direct = construct_basic(params, U=U)
@@ -290,37 +269,26 @@ def _suite_equivalence(args):
                 ok = False
             if f_direct.norms[n] != c * c * other.norms[n]:
                 ok = False
-    sizes = determinant_sizes(a, b, N, U)
-    return [
-        {
-            "suite": "equivalence",
-            # the points are integers: construct_shifted rejects any other
-            "params": {"a": a, "b": b, "N": N, "U": [int(u) for u in U]},
-            "sizes": list(sizes),
-            "pass": ok,
-        }
-    ]
+    return [_sizes_record(a, b, N, U, ok)]
+
+
+def _sizes_record(a, b, N, U, ok) -> dict:
+    return {
+        # the points are integers: determinant_sizes rejects any other
+        "params": {"a": a, "b": b, "N": N, "U": [int(u) for u in U]},
+        "sizes": list(determinant_sizes(a, b, N, U)),
+        "pass": ok,
+    }
 
 
 def _suite_sizes(args):
-    if None in (args.a, args.b, args.N):
-        raise ValueError("--suite sizes needs --a --b --N --U")
-    U = _parse_fraction_list(args.U)
-    sizes = determinant_sizes(args.a, args.b, args.N, U)
-    return [
-        {
-            "suite": "sizes",
-            # the points are integers: determinant_sizes rejects any other
-            "params": {"a": args.a, "b": args.b, "N": args.N, "U": [int(u) for u in U]},
-            "sizes": list(sizes),
-            "pass": True,
-        }
-    ]
+    a, b, N = _size(args, "sizes", None)
+    return [_sizes_record(a, b, N, _parse_fraction_list(args.U), True)]
 
 
 def _suite_operator(args):
-    a, b, N = _size_args(args, 1, 1, 3)
-    M = _parse_fraction_list(args.M) or (Fraction(2),) * min(a, b)
+    a, b, N = _size(args, "operator", (1, 1, 3))
+    M = _free(args, a, b)
     r = a * b + 1
     if a * b > 1:
         # a member just above the orthogonality range degenerates to zero
@@ -333,7 +301,6 @@ def _suite_operator(args):
     fam = construct_basic(NuParams(a, b, N, M), n_max=n_max, extend=True)
     op = operator_search(fam, r=r)
     rec = {
-        "suite": "operator",
         "params": {"a": a, "b": b, "N": N, "M": [str(m) for m in M]},
         "shift_range": r,
         "pass": op is not None,
@@ -347,14 +314,12 @@ def _suite_operator(args):
 
 
 def _suite_flip(args):
-    if args.suite == "flip" and args.U:
-        # under --suite all, --U is meant for the limit and equivalence suites
-        raise ValueError(
-            "--suite flip takes no --U: the flipped rows have no Christoffel points"
-        )
     records = []
-    size = _explicit_size(args, "flip", ("a", "b"))
-    pairs = [size] if size is not None else [(1, 2), (1, 3), (2, 3)]
+    size = _size(args, "flip", (), names=("a", "b"))
+    if size and args.suite == "all":
+        # the other suites read the pair in the standard orientation b <= a
+        size = (min(size), max(size))
+    pairs = [size] if size else [(1, 2), (1, 3), (2, 3)]
     for a, b in pairs:
         N = max(a, b) + 1 if args.N is None else args.N
         M = _parse_fraction_list(args.M) or tuple(
@@ -372,7 +337,6 @@ def _suite_flip(args):
         )
         records.append(
             {
-                "suite": "flip",
                 "params": {"a": a, "b": b, "N": N, "M": [str(m) for m in M]},
                 "atoms": len(nu.atoms),
                 "sign_exponent": "g",
@@ -382,24 +346,37 @@ def _suite_flip(args):
     return records
 
 
+# Every suite in the order --suite all runs it; all leaves out sizes,
+# which has no default size.
+SUITES = {
+    "orthogonality": _suite_orthogonality,
+    "identities": _suite_identities,
+    "limits": _suite_limits,
+    "equivalence": _suite_equivalence,
+    "sizes": _suite_sizes,
+    "operator": _suite_operator,
+    "flip": _suite_flip,
+}
+
+
 def run_verify(args) -> int:
-    suites = {
-        "orthogonality": _suite_orthogonality,
-        "identities": _suite_identities,
-        "limits": _suite_limits,
-        "equivalence": _suite_equivalence,
-        "sizes": _suite_sizes,
-        "operator": _suite_operator,
-        "flip": _suite_flip,
-    }
+    if args.suite in ("operator", "flip") and args.U:
+        # under --suite all, --U is meant for the limit and equivalence suites
+        raise ValueError(
+            f"--suite {args.suite} takes no --U: its families have no Christoffel points"
+        )
     if args.suite == "all":
-        records = []
-        for name in ("orthogonality", "identities", "limits", "equivalence", "operator", "flip"):
-            records.extend(suites[name](args))
+        names = [name for name in SUITES if name != "sizes"]
     else:
-        records = suites[args.suite](args)
+        names = [args.suite]
+    records = []
+    for name in names:
+        for rec in SUITES[name](args):
+            rec["suite"] = name
+            records.append(rec)
     records.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    return _emit(records, args.out)
+    _write("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n", args.out)
+    return 0 if all(r.get("pass", False) for r in records) else 1
 
 
 def _add_common(parser):
@@ -425,7 +402,7 @@ def main(argv=None) -> int:
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(ver)
-    ver.add_argument("--suite", choices=SUITES, default="all")
+    ver.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":

@@ -25,7 +25,7 @@ from .exact import (
     nullspace_exact,
     pochhammer,
 )
-from .classical import dual_hahn_poly, lambda_map, lambda_poly
+from .classical import dual_hahn_poly, hahn_poly, lambda_map, lambda_poly
 from .measures import (
     DiscreteMeasure,
     NuParams,
@@ -186,24 +186,19 @@ class IdentityContext:
         return self._plain[key]
 
 
-def verify_moment_identity(kind: str, context: IdentityContext = None, **kw) -> IdentityReport:
+def verify_moment_identity(kind: str, context: IdentityContext, **indices) -> IdentityReport:
     """Evaluate both sides of one moment identity exactly.
 
     The left side is always an inner product over the relevant measure;
-    the right side a weighted sum of row polynomial evaluations.  The
-    configuration comes either as keywords (a, b, N and free, U or F, as
-    the kind needs), for one identity on its own, or as ``context``, an
-    IdentityContext shared by a batch of identities of one configuration.
-    The remaining keywords are the indices (m and s, or n); see the
-    per-kind helpers.
+    the right side a weighted sum of row polynomial evaluations.
+    ``context`` is the IdentityContext of the configuration, shared by a
+    batch of identities; the keywords are the indices (m and s, or n); see
+    the per-kind helpers.
     """
     helper = _IDENTITY_HELPERS.get(kind)
     if helper is None:
         raise ValueError(f"unknown identity kind {kind!r}")
-    if context is None:
-        config = {k: kw.pop(k) for k in ("a", "b", "N", "free", "U", "F") if k in kw}
-        context = IdentityContext(**config)
-    return helper(context, **kw)
+    return helper(context, **indices)
 
 
 def _nu_lower(ctx: IdentityContext, m: int, s: int) -> IdentityReport:
@@ -312,8 +307,6 @@ def _christoffel_diagonal(ctx: IdentityContext, n: int) -> IdentityReport:
 
 
 def _hahn_neg(g: int, a, b, N):
-    from .classical import hahn_poly
-
     return hahn_poly(g, -Fraction(a), -Fraction(b), Fraction(-2 - N))
 
 

@@ -89,6 +89,9 @@ def w_param_limit(g: int, a: int, b: int, N, Mg: Fraction) -> Polynomial:
 
     Both parameters move at once (a by -s/M, b by +s); the limit of the
     deformed Hahn polynomial over s, scaled by M/(M-1), has degree g.
+    It also serves the flipped orientation: deforming the other way (a by
+    +s/M, b by -s) and scaling by M/(1-M) is the substitution s -> -s,
+    which gives the same limit.
     """
     N = as_scalar(N)
     s = RationalFunction.var()
@@ -185,19 +188,6 @@ def _neg_falling(j: int) -> Polynomial:
     return p
 
 
-def w_param_limit_flipped(g: int, a: int, b: int, N, Mg: Fraction) -> Polynomial:
-    """Flipped-orientation parameter row: mirrored deformation limit.
-
-    The deformation legs swap roles relative to the standard orientation
-    (here a moves by +s/M and b by -s) and the scale becomes M/(1-M),
-    which is exactly what the argument reflection at -2-N demands.
-    """
-    N = as_scalar(N)
-    s = RationalFunction.var()
-    h = hahn_poly(g, -a - s / Mg, -b + s, -2 - N)
-    return _limit_coeffs_over_s(h) * (Mg / (1 - Mg))
-
-
 def w_poly(g: int, a: int, b: int, N, free, orientation: str = "standard") -> Polynomial:
     """The degree-g auxiliary row polynomial.
 
@@ -226,7 +216,7 @@ def _w_poly_cached(g: int, a: int, b: int, N, free, orientation: str) -> Polynom
         if a > b:
             raise ValueError("flipped orientation needs a <= b")
         if g in param_range(a, b):
-            return w_param_limit_flipped(g, a, b, N, as_scalar(free[g - b]))
+            return w_param_limit(g, a, b, N, as_scalar(free[g - b]))
         if g in mid_range(a, b):
             return w_mid_limit(g, a, b, N, anchor=-2 - N)
         return hahn_poly(g, Fraction(-a), Fraction(-b), -2 - N)

@@ -116,6 +116,22 @@ def test_verify_flip(capsys):
     assert rec["sign_exponent"] == "g"
 
 
+def test_verify_all_with_a_standard_size_flips_the_pair(capsys):
+    # the flip suite reads the size given for the standard orientation as
+    # the pair (min, max), so every suite runs at one size
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--a", "2", "--b", "1", "--N", "3", "--M", "2"
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert all(r["pass"] for r in records)
+    flips = [r for r in records if r["suite"] == "flip"]
+    assert [r["params"] for r in flips] == [{"a": 1, "b": 2, "N": 3, "M": ["2"]}]
+    assert {r["suite"] for r in records} == {
+        "orthogonality", "identities", "limits", "equivalence", "operator", "flip"
+    }
+
+
 def test_verify_operator_certifies_2_1_3(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "3"
@@ -187,6 +203,19 @@ def test_missing_required_flags(capsys):
           "--U=-2,-2"], "--suite flip takes no --U"),
         (["verify", "--suite", "flip", "--a", "1", "--b", "2", "--N", "3", "--M", "2",
           "--U=1/0"], "--suite flip takes no --U"),
+        # neither is the operator suite's family
+        (["verify", "--suite", "operator", "--U", "1"], "--suite operator takes no --U"),
+        # every suite with a default size takes all of it or none of it
+        (["verify", "--suite", "identities", "--a", "3"],
+         "--suite identities takes --a --b --N together or none"),
+        (["verify", "--suite", "limits", "--a", "2", "--N", "3"],
+         "--suite limits takes --a --b --N together or none"),
+        (["verify", "--suite", "equivalence", "--b", "1"],
+         "--suite equivalence takes --a --b --N together or none"),
+        (["verify", "--suite", "operator", "--a", "2", "--b", "1"],
+         "--suite operator takes --a --b --N together or none"),
+        (["verify", "--suite", "sizes", "--a", "2", "--b", "1"],
+         "--suite sizes needs --a --b --N"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):

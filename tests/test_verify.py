@@ -32,15 +32,13 @@ FREE = {1: (F(2),), 2: (F(2), F(5)), 3: (F(2), F(5), F(1, 2))}
 
 def test_basic_measure_moment_identities():
     for a, b, N in [(2, 1, 3), (1, 1, 2), (2, 2, 3)]:
-        free = FREE[b]
+        ctx = IdentityContext(a, b, N, FREE[b])
         for m in range(0, 3):
             for s in range(m - a + 1, 3):
-                rep = verify_moment_identity(
-                    "nu-lower", a=a, b=b, N=N, free=free, m=m, s=s
-                )
+                rep = verify_moment_identity("nu-lower", ctx, m=m, s=s)
                 assert rep.passed, rep.as_record()
         for n in range(0, N + a + 1):
-            rep = verify_moment_identity("nu-diagonal", a=a, b=b, N=N, free=free, n=n)
+            rep = verify_moment_identity("nu-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
 
 
@@ -51,16 +49,13 @@ def test_christoffel_moment_identities_generic_parameters():
         b = F(Fset.max + 1) + F(3, 2)
         N = 4
         n_g = Fset.max - len(Fset) + 1
+        ctx = IdentityContext(a, b, N, F=Fset)
         for m in range(0, 2):
             for s in range(m - n_g + 1, 3):
-                rep = verify_moment_identity(
-                    "christoffel-lower", a=a, b=b, N=N, F=Fset, m=m, s=s
-                )
+                rep = verify_moment_identity("christoffel-lower", ctx, m=m, s=s)
                 assert rep.passed, rep.as_record()
         for n in range(0, N + n_g + 1):
-            rep = verify_moment_identity(
-                "christoffel-diagonal", a=a, b=b, N=N, F=Fset, n=n
-            )
+            rep = verify_moment_identity("christoffel-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
 
 
@@ -68,26 +63,22 @@ def test_christoffel_lower_reduces_to_classical_orthogonality():
     # empty merge set: the right side has no rows, so the moments of the
     # degree-s polynomial below degree s vanish
     Fset = IndexSet(())
-    a, b, N = F(3, 2), F(5, 2), 4
+    ctx = IdentityContext(F(3, 2), F(5, 2), 4, F=Fset)
     for s in range(1, 4):
         for m in range(0, s):
-            rep = verify_moment_identity(
-                "christoffel-lower", a=a, b=b, N=N, F=Fset, m=m, s=s
-            )
+            rep = verify_moment_identity("christoffel-lower", ctx, m=m, s=s)
             assert rep.passed and rep.rhs == 0
 
 
 def test_mirror_moment_identities():
     for a, b, N in [(2, 1, 3), (2, 2, 3)]:
-        free = FREE[b]
+        ctx = IdentityContext(a, b, N, FREE[b])
         for m in range(0, 2):
             for s in range(max(0, m - b + 1), 3):
-                rep = verify_moment_identity(
-                    "mirror-lower", a=a, b=b, N=N, free=free, m=m, s=s
-                )
+                rep = verify_moment_identity("mirror-lower", ctx, m=m, s=s)
                 assert rep.passed, rep.as_record()
         for n in range(0, N + b + 1):
-            rep = verify_moment_identity("mirror-diagonal", a=a, b=b, N=N, free=free, n=n)
+            rep = verify_moment_identity("mirror-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
 
 
@@ -95,30 +86,26 @@ def test_transformed_moment_identities():
     from kralldh.constructors import alt_params
 
     for a, b, N, U in [(2, 1, 3, (1,)), (2, 2, 4, (-3,))]:
-        free = FREE[b]
         n_g = len(alt_params(a, b, N, U).G_rows)
+        ctx = IdentityContext(a, b, N, FREE[b], U=U)
         for m in range(0, 2):
             for s in range(m - n_g + 1, 2):
-                rep = verify_moment_identity(
-                    "transformed-lower", a=a, b=b, N=N, free=free, U=U, m=m, s=s
-                )
+                rep = verify_moment_identity("transformed-lower", ctx, m=m, s=s)
                 assert rep.passed, rep.as_record()
         for n in range(0, 4):
-            rep = verify_moment_identity(
-                "transformed-diagonal", a=a, b=b, N=N, free=free, U=U, n=n
-            )
+            rep = verify_moment_identity("transformed-diagonal", ctx, n=n)
             assert rep.passed, rep.as_record()
 
 
 def test_moment_identity_dispatch():
     assert len(MOMENT_IDENTITIES) == 8
     with pytest.raises(ValueError):
-        verify_moment_identity("nonsense")
+        verify_moment_identity("nonsense", IdentityContext(1, 1, 2, FREE[1]))
 
 
 def test_shared_context_reports_equal_standalone_ones():
     # a context shared by a batch gives each identity the record it gets
-    # on its own, whatever order the batch asks in
+    # from a fresh context of its own, whatever order the batch asks in
     Fset = IndexSet.of((1, 2))
     configs = [
         (dict(a=3, b=2, N=4, free=FREE[2]), ("nu", "mirror")),
@@ -131,13 +118,19 @@ def test_shared_context_reports_equal_standalone_ones():
             for n in (3, 0, 2):
                 for m, s in ((0, n), (n, n), (n // 2, n)):
                     shared = verify_moment_identity(f"{family}-lower", ctx, m=m, s=s)
-                    alone = verify_moment_identity(f"{family}-lower", **config, m=m, s=s)
+                    alone = verify_moment_identity(
+                        f"{family}-lower", IdentityContext(**config), m=m, s=s
+                    )
                     assert shared.passed and shared.as_record() == alone.as_record()
                 shared = verify_moment_identity(f"{family}-diagonal", ctx, n=n)
-                alone = verify_moment_identity(f"{family}-diagonal", **config, n=n)
+                alone = verify_moment_identity(
+                    f"{family}-diagonal", IdentityContext(**config), n=n
+                )
                 assert shared.passed and shared.as_record() == alone.as_record()
     with pytest.raises(TypeError):
         verify_moment_identity("nu-lower", ctx, a=3, m=0, s=0)
+    with pytest.raises(TypeError):  # the configuration comes only as a context
+        verify_moment_identity("nu-lower", a=1, b=1, N=2, free=FREE[1], m=0, s=0)
 
 
 def test_triangular_product_structure():
@@ -362,7 +355,7 @@ def test_verify_limits_dispatch():
 
 
 def test_identity_report_record():
-    rep = verify_moment_identity("nu-lower", a=1, b=1, N=2, free=(F(2),), m=0, s=0)
+    rep = verify_moment_identity("nu-lower", IdentityContext(1, 1, 2, (F(2),)), m=0, s=0)
     rec = rep.as_record()
     assert rec["pass"] is True
     assert set(rec) == {"identity", "params", "lhs", "rhs", "pass"}
