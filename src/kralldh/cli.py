@@ -182,6 +182,8 @@ def _gram_record(name, polys, measure, norms) -> dict:
 def _suite_orthogonality(args):
     records = []
     size = _size(args, "orthogonality", ())
+    if size and not args.M:
+        raise ValueError("--suite orthogonality needs --M with --a --b --N")
     cases = (
         [(*size, _parse_fraction_list(args.M))]
         if size

@@ -101,7 +101,8 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, RationalFunction) else Fraction(c) for c in coeffs]
+        exact = (Fraction, RationalFunction)
+        cs = [c if isinstance(c, exact) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -197,13 +198,20 @@ class Polynomial:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        xs, ys = self.coeffs, other.coeffs
+        rational = not any(isinstance(c, RationalFunction) for c in xs + ys)
+        if rational:  # convolve over the integers, divide once
+            (xs, dx), (ys, dy) = _integer_row(xs), _integer_row(ys)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(tuple(out))
+            for j, b in enumerate(ys):
+                out[i + j] += a * b
+        if rational:
+            d = dx * dy
+            out = [Fraction(v, d) for v in out]
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -249,12 +257,33 @@ class Polynomial:
         return acc
 
     def shift_argument(self, c) -> "Polynomial":
-        """Return p(x + c)."""
-        return self.compose(Polynomial((c, 1)))
+        """Return p(x + c) by the Taylor shift: n(n+1)/2 steps of
+        synthetic division, a[k] += c a[k+1], in place.
+
+        Over the rationals it runs on integers.  With D the lcm of the
+        coefficient denominators and c = u/v, B_k = D p_k v^(n-k) are
+        integers, and p(x + c) = C(vx) / (D v^n) where C(y) = B(y + u).
+        """
+        a, n, c = list(self.coeffs), len(self.coeffs) - 1, as_scalar(c)
+        rational = isinstance(c, Fraction) and not any(
+            isinstance(x, RationalFunction) for x in a
+        )
+        if rational:
+            a, d = _integer_row(a)
+            c, v = c.numerator, c.denominator
+            scales = [v ** (n - k) for k in range(n + 1)]
+            a = [x * w for x, w in zip(a, scales)]
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                a[k] += c * a[k + 1]
+        if rational:
+            a = [Fraction(x, d * w) for x, w in zip(a, scales)]
+        return Polynomial(a)
 
     def reflect_argument(self, c) -> "Polynomial":
-        """Return p(c - x)."""
-        return self.compose(Polynomial((c, -1)))
+        """Return p(c - x): p(x + c) with its odd coefficients negated."""
+        shifted = self.shift_argument(c).coeffs
+        return Polynomial([-x if k % 2 else x for k, x in enumerate(shifted)])
 
     def divmod(self, divisor: "Polynomial"):
         """Exact Euclidean division; returns (quotient, remainder)."""

@@ -216,6 +216,11 @@ def test_missing_required_flags(capsys):
          "--suite operator takes --a --b --N together or none"),
         (["verify", "--suite", "sizes", "--a", "2", "--b", "1"],
          "--suite sizes needs --a --b --N"),
+        # a sized orthogonality suite, alone or first in --suite all, needs --M
+        (["verify", "--suite", "orthogonality", "--a", "2", "--b", "1", "--N", "3"],
+         "--suite orthogonality needs --M with --a --b --N"),
+        (["verify", "--suite", "all", "--a", "2", "--b", "1", "--N", "3"],
+         "--suite orthogonality needs --M with --a --b --N"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):

@@ -422,6 +422,83 @@ def test_polynomial_basics():
     assert p.reflect_argument(F(5))(F(2)) == p(F(3))
 
 
+def schoolbook_product(p, q):
+    """The product as a double sum over the field elements themselves,
+    the reference for the integer convolution in ``Polynomial.__mul__``."""
+    if p.is_zero or q.is_zero:
+        return Polynomial()
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Polynomial(out)
+
+
+def compose_reference(p, inner):
+    """p(inner(x)) by Horner's rule over the schoolbook product, the
+    reference for the Taylor shift: p(x + c) = p(compose (c, 1)) and
+    p(c - x) = p(compose (c, -1))."""
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = schoolbook_product(acc, inner) + Polynomial((c,))
+    return acc
+
+
+_s = RationalFunction.var()
+# rational functions of s with a nonconstant denominator, and polynomials in s
+rational_functions = st.one_of(
+    st.builds(lambda p, q, r: (p + q * _s) / (1 + r * _s), rationals, rationals, rationals),
+    st.builds(lambda p, q: p + q * _s * _s, rationals, rationals),
+)
+scalars = st.one_of(st.just(F(0)), rationals)
+# up to degree 5; the empty list is the zero polynomial, one entry a constant
+fraction_polys = st.lists(scalars, max_size=6).map(Polynomial)
+rf_polys = st.lists(st.one_of(scalars, rational_functions), max_size=4).map(Polynomial)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Polynomial(), Polynomial((F(-3, 4),)), Polynomial((F(1, 2), F(0), F(-5, 3), F(2)))],
+)
+@pytest.mark.parametrize("c", [F(0), F(3), F(-7, 5)])
+def test_shift_and_reflect_edge_cases(p, c):
+    assert p.shift_argument(c) == compose_reference(p, Polynomial((c, 1)))
+    assert p.reflect_argument(c) == compose_reference(p, Polynomial((c, -1)))
+    assert p.shift_argument(F(0)) == p
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(fraction_polys, scalars)
+def test_taylor_shift_equals_composition_over_fractions(p, c):
+    assert p.shift_argument(c) == compose_reference(p, Polynomial((c, 1)))
+    assert p.reflect_argument(c) == compose_reference(p, Polynomial((c, -1)))
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(rf_polys, st.one_of(scalars, rational_functions))
+def test_taylor_shift_equals_composition_over_rational_functions(p, c):
+    assert p.shift_argument(c) == compose_reference(p, Polynomial((c, 1)))
+    assert p.reflect_argument(c) == compose_reference(p, Polynomial((c, -1)))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(fraction_polys, fraction_polys)
+def test_integer_convolution_equals_schoolbook_product(p, q):
+    assert p * q == schoolbook_product(p, q)
+    assert all(isinstance(c, F) for c in (p * q).coeffs)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(rf_polys, st.one_of(fraction_polys, rf_polys))
+def test_product_with_rational_function_coefficients(p, q):
+    assert p * q == schoolbook_product(p, q)
+    assert q * p == schoolbook_product(q, p)
+
+
 def test_polynomial_divmod_roundtrip():
     p = Polynomial.from_roots([F(1), F(2), F(3)]) * F(7, 3)
     d = Polynomial.from_roots([F(2)])

@@ -2,7 +2,7 @@
 
 The pinned grid is `generate` for three sizes, every representation and
 no, one or two Christoffel points, plus one CSV case, `verify --suite
-all`, the (2,1) and (2,2) operator certificates, and the limit and
+all`, the (1,1), (2,1) and (2,2) operator certificates, and the limit and
 identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1).  Each file
 under tests/golden/ holds the exit code on its first line and the exact
 stdout after it.
@@ -50,6 +50,11 @@ def golden_cases() -> dict:
         cases[f"verify_operator_2_{b}_3"] = [
             "verify", "--suite", "operator", "--a", "2", "--b", str(b), "--N", "3"
         ]
+    # the family of the certify-operator benchmark workload; the name sorts
+    # last, so the ids of the earlier cases keep their indices
+    cases["verify_operator_certify_1_1_3"] = [
+        "verify", "--suite", "operator", "--a", "1", "--b", "1", "--N", "3", "--M", "2"
+    ]
     for suite in ("limits", "identities"):
         cases[f"verify_{suite}_4_2_6"] = [
             "verify", "--suite", suite, "--a", "4", "--b", "2", "--N", "6",

@@ -242,6 +242,18 @@ def test_operator_search_solves_one_system_at_the_first_degree(
     assert dims == [1]
 
 
+@pytest.mark.parametrize("a,b,N,r,n_max", [(1, 1, 3, 2, 6), (2, 1, 3, 3, 11)])
+def test_operator_numerators_reflect_under_the_lattice_symmetry(a, b, N, r, n_max):
+    # h_{-j}(x) = (-1)^t h_j(-x-a-b-1), t the denominator degree: the
+    # numerators of opposite shifts determine each other
+    fam = construct_basic(NuParams(a, b, N, (F(2),)), n_max=n_max, extend=True)
+    op = operator_search(fam, r=r)
+    assert op is not None
+    sign = (-1) ** op.denominator.degree
+    for j, h in op.numerators.items():
+        assert op.numerators[-j] == sign * h.reflect_argument(F(-a - b - 1)), j
+
+
 def test_operator_search_negative_control():
     fam = construct_basic(NuParams(1, 1, 3, (F(2),)), n_max=6, extend=True)
     polys = list(fam.polys)
