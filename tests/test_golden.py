@@ -3,7 +3,8 @@
 The pinned grid is `generate` for three sizes, every representation and
 no, one or two Christoffel points, plus one CSV case, `verify --suite
 all`, the (1,1), (2,1) and (2,2) operator certificates, and the limit and
-identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1).  Each file
+identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1), and the
+limit suite at (8,5,16) and the flip suite at (4,7,9).  Each file
 under tests/golden/ holds the exit code on its first line and the exact
 stdout after it.
 After a deliberate output change, rewrite the files with
@@ -54,6 +55,15 @@ def golden_cases() -> dict:
     # last, so the ids of the earlier cases keep their indices
     cases["verify_operator_certify_1_1_3"] = [
         "verify", "--suite", "operator", "--a", "1", "--b", "1", "--N", "3", "--M", "2"
+    ]
+    # the two suites that run through rational functions in s, at larger
+    # sizes; "wide" sorts after "operator", so earlier ids keep their indices
+    cases["verify_wide_limits_8_5_16"] = [
+        "verify", "--suite", "limits", "--a", "8", "--b", "5", "--N", "16"
+    ]
+    cases["verify_wide_flip_4_7_9"] = [
+        "verify", "--suite", "flip", "--a", "4", "--b", "7", "--N", "9",
+        "--M", "2,3/5,7,11/3",
     ]
     for suite in ("limits", "identities"):
         cases[f"verify_{suite}_4_2_6"] = [
