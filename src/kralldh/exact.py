@@ -10,8 +10,9 @@ Representation conventions:
 * rationals are ``fractions.Fraction`` (always reduced, denominator > 0);
 * a polynomial is a tuple of coefficients in ascending degree with no
   trailing zeros, the zero polynomial being the empty tuple;
-* a rational function is a reduced quotient ``num/den`` of polynomials in
-  ``s`` with monic denominator, so equality testing is structural.
+* a rational function is an unreduced quotient ``num/den`` of polynomials
+  in ``s``; equality cross-multiplies, and an s -> 0 limit compares the
+  orders to which num and den vanish at 0, so no gcd is ever taken.
 """
 
 from __future__ import annotations
@@ -196,22 +197,7 @@ class Polynomial:
             return Polynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        xs, ys = self.coeffs, other.coeffs
-        rational = not any(isinstance(c, RationalFunction) for c in xs + ys)
-        if rational:  # convolve over the integers, divide once
-            (xs, dx), (ys, dy) = _integer_row(xs), _integer_row(ys)
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if not a:
-                continue
-            for j, b in enumerate(ys):
-                out[i + j] += a * b
-        if rational:
-            d = dx * dy
-            out = [Fraction(v, d) for v in out]
-        return Polynomial(out)
+        return poly_dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -338,7 +324,11 @@ class Polynomial:
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials over the rationals."""
+    """Monic gcd of two polynomials over the rationals.
+
+    The package itself keeps rational functions unreduced and calls no
+    gcd; the tests reduce reference quotients with it.
+    """
     a, b = p, q
     while not b.is_zero:
         a, b = b, a.divmod(b)[1]
@@ -346,42 +336,26 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Reduced quotient of polynomials in the deformation variable s.
+    """Quotient num/den of polynomials in the deformation variable s.
 
-    Invariants: gcd(num, den) = 1 and den is monic, so two equal rational
-    functions have identical representations.  A monic denominator of
-    degree 0 is 1, and the value is then a polynomial in s (every deformed
-    dual Hahn mass is one).  Construction over a constant denominator
-    skips the gcd, and sums, differences and products of two polynomials
-    in s work on the numerators alone; the results are the ones the
-    general formulas give.
+    The quotient is kept as built: nothing is cancelled, so one value has
+    many representations.  Equality cross-multiplies, which makes a
+    rational function unhashable.  Sums over one shared denominator add
+    the numerators; every other operation cross-multiplies.
     """
 
     __slots__ = ("num", "den")
+    __hash__ = None
 
     def __init__(self, num, den=None):
-        num = num if isinstance(num, Polynomial) else Polynomial._coerce(num)
-        if num is NotImplemented:
-            raise TypeError("rational function numerator must be polynomial-like")
-        if den is None:
-            den = Polynomial.one()
-        else:
-            den = den if isinstance(den, Polynomial) else Polynomial._coerce(den)
-            if den is NotImplemented:
-                raise TypeError("rational function denominator must be polynomial-like")
+        num = Polynomial._coerce(num)
+        den = Polynomial.one() if den is None else Polynomial._coerce(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("rational function parts must be polynomial-like")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num, den = Polynomial(), Polynomial.one()
-        else:
-            # a constant denominator is a unit: there is nothing to cancel
-            if den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num.divexact(g), den.divexact(g)
-            lead = den.leading()
-            if lead != 1:
-                num, den = num / lead, den / lead
+            den = Polynomial.one()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -411,10 +385,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        return self.num * other.den == other.num * self.den
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
@@ -423,8 +394,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RationalFunction(self.num + other.num)
+        if self.den == other.den:
+            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -435,8 +406,6 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RationalFunction(self.num - other.num)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -449,8 +418,6 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RationalFunction(self.num * other.num)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -470,6 +437,8 @@ class RationalFunction:
         return other / self
 
     def __call__(self, point) -> Fraction:
+        """num(point) / den(point); a common root of num and den is
+        reported as a pole, since nothing has been cancelled."""
         d = self.den(point)
         if not d:
             raise ZeroDivisionError(f"pole at s = {point}")
@@ -491,17 +460,18 @@ class RationalFunction:
 def limit_at_zero(f) -> Fraction:
     """Exact limit at s = 0 of a rational function of s.
 
-    Common powers of s are already cancelled by the reduced representation,
-    so a vanishing denominator at 0 is a genuine pole.
+    With s^k the lowest power of s in den, the common factor s^k is divided
+    out of num and den; the limit is then num_k / den_k.  It is a pole
+    exactly when num vanishes at 0 to a lower order than k.
     """
     if isinstance(f, (int, Fraction)):
         return Fraction(f)
     if not isinstance(f, RationalFunction):
         raise TypeError(f"cannot take an s-limit of {f!r}")
-    d = f.den(Fraction(0))
-    if not d:
+    k = next(i for i, c in enumerate(f.den.coeffs) if c)
+    if any(f.num.coeffs[:k]):
         raise PoleAtZeroError("pole at s = 0")
-    return f.num(Fraction(0)) / d
+    return f.num.coefficient(k) / f.den.coeffs[k]
 
 
 def derivative_at_zero(f) -> Fraction:
@@ -558,9 +528,7 @@ def det_with_poly_row(top_row, numeric_rows) -> Polynomial:
     C = (-1)^c det(block without column c) / v[c] * v for any column c
     with v[c] != 0; v has a 1 in its free column, so one kernel and one
     k x k determinant give every cofactor.  Below rank k every cofactor
-    vanishes.  The combination sum_j v[j] top_j is summed over the
-    integers, with v and the polynomials cleared of denominators, and
-    scaled once at the end.
+    vanishes.  The combination sum_j C_j top_j is one ``poly_dot``.
     """
     n = len(top_row)
     if any(len(r) != n for r in numeric_rows) or len(numeric_rows) != n - 1:
@@ -573,16 +541,39 @@ def det_with_poly_row(top_row, numeric_rows) -> Polynomial:
     v = basis[0]
     c = v.index(1)
     minor = [row[:c] + row[c + 1 :] for row in numeric_rows]
-    w, v_den = _integer_row(v)
-    terms = [(_integer_row(p.coeffs), wj) for p, wj in zip(top_row, w) if wj and p]
-    den = lcm(*(d for (_, d), _ in terms))
-    sums = [0] * max((len(coeffs) for (coeffs, _), _ in terms), default=0)
-    for (coeffs, d), wj in terms:
-        f = wj * (den // d)
-        for i, x in enumerate(coeffs):
-            sums[i] += f * x
-    scale = (-1) ** c * det_exact(minor) / (v_den * den)
-    return Polynomial(tuple(x * scale for x in sums))
+    scale = (-1) ** c * det_exact(minor)
+    return poly_dot((Polynomial((vj * scale,)) for vj in v), top_row)
+
+
+def poly_dot(xs, ys) -> Polynomial:
+    """sum_j xs[j] * ys[j] over two sequences of Polynomials.
+
+    Over the rationals every polynomial is cleared of denominators, the
+    products are summed over the integers on one common denominator, and
+    that is divided out once at the end.  With RationalFunction
+    coefficients it is the schoolbook double loop over the field.
+    """
+    pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x and y]
+    if not pairs:
+        return Polynomial()
+    out = [0] * (max(len(p) + len(q) for p, q in pairs) - 1)
+    if any(isinstance(c, RationalFunction) for p, q in pairs for c in p + q):
+        for p, q in pairs:
+            for i, u in enumerate(p):
+                if u:
+                    for j, w in enumerate(q):
+                        out[i + j] += u * w
+        return Polynomial(out)
+    cleared = [(_integer_row(p), _integer_row(q)) for p, q in pairs]
+    den = lcm(*(dp * dq for (_, dp), (_, dq) in cleared))
+    for (p, dp), (q, dq) in cleared:
+        f = den // (dp * dq)
+        for i, u in enumerate(p):
+            if u:
+                u *= f
+                for j, w in enumerate(q):
+                    out[i + j] += u * w
+    return Polynomial([Fraction(v, den) for v in out])
 
 
 def _integer_row(row) -> tuple:

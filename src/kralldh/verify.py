@@ -24,6 +24,7 @@ from .exact import (
     limit_at_zero,
     nullspace_exact,
     pochhammer,
+    poly_dot,
 )
 from .classical import dual_hahn_poly, hahn_poly, lambda_map, lambda_poly
 from .measures import (
@@ -691,10 +692,10 @@ class LatticeOperator:
     def apply_cleared(self, poly_in_x: Polynomial) -> Polynomial:
         """Denominator-cleared action on a polynomial already composed
         with the lattice map: sum_j numerators[j] * p(x+j)."""
-        acc = Polynomial.zero()
-        for j, num in self.numerators.items():
-            acc = acc + num * poly_in_x.shift_argument(Fraction(j))
-        return acc
+        return poly_dot(
+            self.numerators.values(),
+            [poly_in_x.shift_argument(Fraction(j)) for j in self.numerators],
+        )
 
     def maps_lattice_powers(self, k_max: int = 3) -> bool:
         """Membership in the lattice operator algebra: applying the
@@ -838,9 +839,7 @@ def _verify_operator(op: LatticeOperator, Q, shifted) -> bool:
         gamma = op.gammas[n]
         if gamma is None:
             return False
-        lhs = Polynomial.zero()
-        for j, num in op.numerators.items():
-            lhs = lhs + num * shifted[(n, j)]
+        lhs = poly_dot(op.numerators.values(), [shifted[(n, j)] for j in op.numerators])
         if lhs != op.denominator * (gamma * q):
             return False
     return True

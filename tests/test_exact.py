@@ -16,6 +16,7 @@ from kralldh.exact import (
     limit_at_zero,
     nullspace_exact,
     pochhammer,
+    poly_dot,
     poly_gcd,
     poly_to_strings,
     residue_inv,
@@ -337,18 +338,20 @@ def test_limit_at_zero_examples():
     s = RationalFunction.var()
     assert limit_at_zero((s * s + s) / s) == 1
     assert limit_at_zero(((1 + s) * (1 + s) - 1) / s) == 2
+    assert limit_at_zero((s * s) / s) == 0
     with pytest.raises(PoleAtZeroError):
         limit_at_zero(1 / s)
 
 
-def test_rational_function_normalization():
+def test_rational_function_is_an_unreduced_quotient():
     s = RationalFunction.var()
-    f = (s * s - 1) / (s - 1)  # cancels to s + 1
-    assert f == s + 1
-    assert f.den == Polynomial.one()
+    f = (s * s - 1) / (s - 1)
+    assert f == s + 1  # equal by cross-multiplication, nothing cancelled
+    assert f.den == s.num - 1
     g = RationalFunction(Polynomial((F(2), F(2))), Polynomial((F(0), F(4))))
-    assert g.den.leading() == 1  # monic denominator
-    assert g == (s + 1) / (2 * s)
+    assert g == (s + 1) / (2 * s) and g != (s + 1) / s
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,8 +368,8 @@ def test_rational_function_arithmetic_matches_pointwise(p, q, r, w):
 
 
 def reduced_reference(num, den):
-    """The general normalization, with no constant-denominator shortcut:
-    divide by the monic gcd, then make the denominator monic."""
+    """The reduced form of num/den: divide by the monic gcd, then make
+    the denominator monic.  A pole at 0 shows as den(0) == 0."""
     if num.is_zero:
         return Polynomial(), Polynomial.one()
     g = poly_gcd(num, den)
@@ -384,28 +387,58 @@ denominators_in_s = st.one_of(
 )
 
 
+def assert_limit_matches_reference(f, num, den):
+    """limit_at_zero of f, which equals num/den, gives the verdict of
+    the reduced quotient: its value at 0, or a pole."""
+    num, den = reduced_reference(num, den)
+    if den(F(0)):
+        assert limit_at_zero(f) == num(F(0)) / den(F(0))
+    else:
+        with pytest.raises(PoleAtZeroError):
+            limit_at_zero(f)
+
+
 @seed(20261018)
 @settings(max_examples=150, deadline=None)
 @given(polys_in_s, denominators_in_s, polys_in_s, denominators_in_s)
-def test_rational_function_fast_paths_equal_general_formulas(n1, d1, n2, d2):
+def test_rational_function_arithmetic_equals_general_formulas(n1, d1, n2, d2):
     f, g = RationalFunction(n1, d1), RationalFunction(n2, d2)
-    assert (f.num, f.den) == reduced_reference(n1, d1)
-    assert (g.num, g.den) == reduced_reference(n2, d2)
-    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
     results = {
         "add": (f + g, (n1 * d2 + n2 * d1, d1 * d2)),
         "sub": (f - g, (n1 * d2 - n2 * d1, d1 * d2)),
         "mul": (f * g, (n1 * n2, d1 * d2)),
-        "self-sub": (f - f, (Polynomial(), d1 * d1)),
+        "self-sub": (f - f, (Polynomial(), Polynomial.one())),
     }
+    if not n2.is_zero:
+        results["div"] = (f / g, (n1 * d2, d1 * n2))
     for name, (got, (num, den)) in results.items():
-        num, den = reduced_reference(num, den)
-        assert (got.num, got.den) == (num, den), name
-        if den(F(0)):
-            assert limit_at_zero(got) == num(F(0)) / den(F(0)), name
-        else:
-            with pytest.raises(PoleAtZeroError):
-                limit_at_zero(got)
+        assert got == RationalFunction(num, den), name
+        assert_limit_matches_reference(got, num, den)
+
+
+# c + d s with d != 0 when c = 0, so each factor vanishes at 0 to order 0 or 1
+linear_factors = st.one_of(
+    st.tuples(st.just(F(0)), rationals.filter(bool)),
+    st.tuples(rationals.filter(bool), rationals),
+)
+factor_lists = st.lists(linear_factors, max_size=4)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(factor_lists, factor_lists)
+def test_limit_at_zero_by_order_of_vanishing(top, bottom):
+    # num and den vanish at 0 to independent orders; the quotient is built
+    # by the arithmetic, factor by factor, as the deformation limits build it
+    s = RationalFunction.var()
+    f = RationalFunction._coerce(F(1))
+    num, den = Polynomial.one(), Polynomial.one()
+    for c, d in top:
+        f, num = f * (c + d * s), num * Polynomial((c, d))
+    for c, d in bottom:
+        f, den = f / (c + d * s), den * Polynomial((c, d))
+    assert f == RationalFunction(num, den)
+    assert_limit_matches_reference(f, num, den)
 
 
 # --- polynomials -------------------------------------------------------------
@@ -497,6 +530,21 @@ def test_integer_convolution_equals_schoolbook_product(p, q):
 def test_product_with_rational_function_coefficients(p, q):
     assert p * q == schoolbook_product(p, q)
     assert q * p == schoolbook_product(q, p)
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(fraction_polys, fraction_polys), max_size=4),
+    st.lists(st.tuples(rf_polys, fraction_polys), max_size=2),
+)
+def test_poly_dot_equals_sum_of_schoolbook_products(rational_pairs, rf_pairs):
+    for pairs in (rational_pairs, rational_pairs + rf_pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        expected = Polynomial()
+        for x, y in pairs:
+            expected = expected + schoolbook_product(x, y)
+        assert poly_dot(xs, ys) == expected
 
 
 def test_polynomial_divmod_roundtrip():
