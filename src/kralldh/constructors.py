@@ -14,10 +14,10 @@ Three representations of the same orthogonal family are built here:
 
 Existence of the family is equivalent to nonvanishing of the leading
 minors, which are returned along with the polynomials and the closed-form
-norms.  Each determinant with a polynomial row takes its cofactors along
-that row from one kernel vector of the numeric block below it, scaled by
-one minor (Cramer's rule); every numeric determinant is evaluated over
-the integers.
+norms.  Each degree takes one row of signed cofactors from its numeric
+block, by one fraction-free elimination over the integers: the cofactor
+in the lead column is the leading minor, and the expansion along the
+polynomial row is the determinant.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .exact import (
     IndexSet,
     InexactDivisionError,
     Polynomial,
-    det_exact,
-    det_with_poly_row,
+    cofactor_row,
     involution,
     pochhammer,
+    poly_dot,
 )
 from .classical import dual_hahn_poly, lambda_map
 from .measures import (
@@ -81,15 +81,15 @@ class Family:
         return len(self.polys) - 1
 
 
-def _cached_dual_hahn(a, b, N, inner=None):
-    """k -> the degree-k dual Hahn polynomial, composed with ``inner`` when
-    given; each k is built once per call of the construction."""
+def _cached_dual_hahn(a, b, N, shift=0):
+    """k -> the degree-k dual Hahn polynomial in the argument x + ``shift``;
+    each k is built once per call of the construction."""
     cache = {}
 
     def get(k: int) -> Polynomial:
         if k not in cache:
             poly = dual_hahn_poly(k, a, b, N)
-            cache[k] = poly if inner is None else poly.compose(inner)
+            cache[k] = poly.shift_argument(shift) if shift else poly
         return cache[k]
 
     return get
@@ -109,10 +109,10 @@ def _determinantal_family(
     ``column(n, c)`` is column c (0..k) of the k x (k+1) numeric block of
     degree n, one entry per auxiliary row and per Christoffel point;
     ``top(n)`` is the polynomial row, whose highest-degree entry sits in
-    column ``lead_col``.  The block without that column is the leading
-    minor phi_n.  The degree-n polynomial is the determinant with the
-    polynomial row on top of the block, divided exactly by ``divisor``;
-    a block of rank below k gives the zero polynomial.  Its leading
+    column ``lead_col``.  With C the ``cofactor_row`` of block n, the
+    leading minor (no lead column) is phi_n = (-1)^lead_col C[lead_col];
+    the determinant with the polynomial row on top, sum_j C_j top(n)_j,
+    divided exactly by ``divisor`` is the degree-n polynomial.  Its leading
     coefficient must be ``lead(n, phi_n)`` and its squared norm is
     ``norm(n, phi_n, phi_{n+1})``.  Beyond the support (only with
     ``extend``) a minor may vanish and no norm is given.
@@ -127,19 +127,14 @@ def _determinantal_family(
     if not extend and n_max > n_support - 1:
         raise ValueError("n_max exceeds the support size of the measure")
 
-    def block(n, skip=None):
-        cols = [column(n, c) for c in range(k + 1) if c != skip]
-        return [list(row) for row in zip(*cols)]
-
-    blocks = [block(n) for n in range(n_max + 1)]
-    minors = [[row[:lead_col] + row[lead_col + 1 :] for row in blk] for blk in blocks]
-    minors.append(block(n_max + 1, skip=lead_col))
-    phis = [det_exact(minor) for minor in minors]
+    blocks = (zip(*(column(n, c) for c in range(k + 1))) for n in range(n_max + 2))
+    cofactors = [cofactor_row(block) for block in blocks]
+    phis = [(-1) ** lead_col * row[lead_col] for row in cofactors]
     polys, norms = [], []
     for n in range(n_max + 1):
         if not phis[n] and n < n_support:
             raise FamilyExistenceError(f"leading minor vanishes at n = {n}")
-        q = det_with_poly_row(top(n), blocks[n]).divexact(divisor)
+        q = poly_dot(map(Polynomial.constant, cofactors[n]), top(n)).divexact(divisor)
         if phis[n] and (q.degree != n or q.leading() != lead(n, phis[n])):
             raise InexactDivisionError(
                 f"degree-{n} polynomial has wrong degree or leading coefficient"
@@ -377,7 +372,7 @@ def construct_shifted(params: NuParams, U, n_max=None) -> Family:
     n_u = len(U)
     wfam = w_family(aU, bU, NU, free, rows=rows)
     # R(k) is the dual Hahn polynomial in the translated argument x - s_shift
-    R = _cached_dual_hahn(aU, bU, NU, Polynomial((-alt.s_shift, 1)))
+    R = _cached_dual_hahn(aU, bU, NU, -alt.s_shift)
     measure = nu_u_transform(params, U).measure
 
     def column(n, c):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
+from operator import mul
 
 Rational = Fraction
 
@@ -484,65 +485,70 @@ def derivative_at_zero(f) -> Fraction:
 def det_exact(matrix) -> Fraction:
     """Exact determinant of a square matrix of ints and Fractions.
 
-    Takes a list of rows.  Each row is cleared of denominators, the
-    integer matrix is reduced by Bareiss elimination (Math. Comp. 22,
-    1968), in which every intermediate entry is a minor of the input and
-    every division by the previous pivot is exact, and the integer
-    determinant is divided by the product of the row scales.
+    Takes a list of rows and expands along the first one over the signed
+    cofactors of the rows below it, from ``cofactor_row``.
     """
-    cleared = [_integer_row(r) for r in matrix]
-    n = len(cleared)
-    if any(len(r) != n for r, _ in cleared):
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
         raise ValueError("determinant of a non-square matrix")
-    rows = [r for r, _ in cleared]
-    scale = 1
-    for _, den in cleared:
-        scale *= den
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+    return sum(map(mul, matrix[0], cofactor_row(matrix[1:])), Fraction(0)) if n else Fraction(1)
+
+
+def cofactor_row(rows) -> list:
+    """The signed cofactors C_j = (-1)^j det(block without column j),
+    j = 0..k, of a k x (k+1) block (an iterable of k rows of ints and
+    Fractions).
+
+    The rows are cleared of denominators and reduced by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): each pivot
+    row is subtracted from every other row, and every entry, a minor of
+    the block, is divided exactly by the previous pivot.  At rank k one
+    column f has no pivot; each pivot column then holds the last pivot,
+    the minor without column f, and row i of column f that minor with
+    column f in place of pivot column i (Cramer's rule).  The swap sign
+    and the product of the row scales are applied once; below rank k
+    every cofactor is 0.
+    """
+    cleared = [_integer_row(r) for r in rows]
+    k = len(cleared)
+    if any(len(r) != k + 1 for r, _ in cleared):
+        raise ValueError("cofactors need a k x (k+1) block")
+    m, scale = [r for r, _ in cleared], prod(d for _, d in cleared)
+    sign, prev, pivots = 1, 1, []
+    for c in range(k + 1):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, k) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
             sign = -sign
-        prow = rows[k]
-        pivot = prow[k]
-        for row in rows[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * prow[j]) // prev
+        prow, pivot = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(v * pivot - f * w) // prev for v, w in zip(row, prow)]
         prev = pivot
-    return Fraction(sign * rows[-1][-1], scale) if n else Fraction(1)
+        pivots.append(c)
+    if len(pivots) < k:
+        return [Fraction(0)] * (k + 1)
+    free = next(c for c in range(k + 1) if c not in pivots)
+    sign *= (-1) ** free
+    pivot_of = dict(zip(pivots, m))
+    return [
+        Fraction(-sign * pivot_of[c][free] if c in pivot_of else sign * prev, scale)
+        for c in range(k + 1)
+    ]
 
 
 def det_with_poly_row(top_row, numeric_rows) -> Polynomial:
-    """Determinant with one polynomial row on top of a k x (k+1) block.
-
-    ``top_row`` holds k+1 Polynomials; ``numeric_rows`` the k scalar rows
-    below it.  Along the polynomial row the signed cofactors
-    C_j = (-1)^j det(block without column j) form a kernel vector of the
-    block (Cramer's rule).  A block of rank k has a one-dimensional
-    kernel, spanned by the ``nullspace_exact`` vector v, so
-    C = (-1)^c det(block without column c) / v[c] * v for any column c
-    with v[c] != 0; v has a 1 in its free column, so one kernel and one
-    k x k determinant give every cofactor.  Below rank k every cofactor
-    vanishes.  The combination sum_j C_j top_j is one ``poly_dot``.
-    """
-    n = len(top_row)
-    if any(len(r) != n for r in numeric_rows) or len(numeric_rows) != n - 1:
+    """Determinant with one polynomial row of k+1 Polynomials on top of a
+    k x (k+1) numeric block: sum_j C_j top_j over the block's
+    ``cofactor_row`` C, one ``poly_dot``."""
+    cofactors = cofactor_row(numeric_rows)
+    if len(top_row) != len(cofactors):
         raise ValueError("cofactor expansion needs an n x n shape")
-    if n == 1:
-        return top_row[0]
-    basis = nullspace_exact(numeric_rows)
-    if len(basis) != 1:  # rank below k: every minor vanishes
-        return Polynomial()
-    v = basis[0]
-    c = v.index(1)
-    minor = [row[:c] + row[c + 1 :] for row in numeric_rows]
-    scale = (-1) ** c * det_exact(minor)
-    return poly_dot((Polynomial((vj * scale,)) for vj in v), top_row)
+    return poly_dot(map(Polynomial.constant, cofactors), top_row)
 
 
 def poly_dot(xs, ys) -> Polynomial:

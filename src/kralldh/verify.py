@@ -153,11 +153,11 @@ class IdentityContext:
     def transformed_moments(self) -> _Moments:
         """Shifted-parameter dual Hahn rows in the argument x - s_shift."""
         alt = self.alt
-        shift = Polynomial((-alt.s_shift, 1))
-        nuU = nu_u_transform(self.params, self.U).measure
         return _Moments(
-            nuU,
-            lambda k: dual_hahn_poly(k, alt.a_alt, alt.b_alt, alt.N_alt).compose(shift),
+            nu_u_transform(self.params, self.U).measure,
+            lambda k: dual_hahn_poly(k, alt.a_alt, alt.b_alt, alt.N_alt).shift_argument(
+                -alt.s_shift
+            ),
             -alt.s_shift,
         )
 
@@ -704,13 +704,12 @@ class LatticeOperator:
         quotient is symmetric under the lattice reflection."""
         a, b = self.lattice
         lam = lambda_poly(a, b)
-        refl = Polynomial((-Fraction(a) - Fraction(b) - 1, Fraction(-1)))
         for k in range(k_max + 1):
             out = self.apply_cleared(lam**k)
             quot, rem = out.divmod(self.denominator)
             if not rem.is_zero:
                 return False
-            if quot.compose(refl) != quot:
+            if quot.reflect_argument(-a - b - 1) != quot:
                 return False
         return True
 

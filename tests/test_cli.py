@@ -221,6 +221,9 @@ def test_missing_required_flags(capsys):
          "--suite orthogonality needs --M with --a --b --N"),
         (["verify", "--suite", "all", "--a", "2", "--b", "1", "--N", "3"],
          "--suite orthogonality needs --M with --a --b --N"),
+        # a leading minor that vanishes inside the support: no family exists
+        (["generate", "--a", "1", "--b", "1", "--N", "5", "--M=-5/2"],
+         "leading minor vanishes at n = 2"),
     ],
 )
 def test_invalid_configuration_exits_2(capsys, argv, message):
@@ -243,6 +246,17 @@ def test_internal_arithmetic_error_exits_1(monkeypatch, capsys):
     )
     assert code == 1 and out == ""
     assert err == "internal error: ArithmeticError: operator failed its exact identity check\n"
+
+
+def test_verify_operator_eigenvalue_collision_exits_1(capsys):
+    # at M = -2/3 two eigenvalues of the (2,1) operator coincide, so the
+    # search finds no operator with distinct eigenvalues: a failed check
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "operator", "--a", "2", "--b", "1", "--N", "8",
+        "--M=-2/3",
+    )
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_verify_rejects_nmax(capsys):
@@ -275,6 +289,37 @@ def test_generate_builds_no_rational_functions(monkeypatch, capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
     assert built == []
+
+
+def test_generate_takes_one_cofactor_row_per_block(monkeypatch, capsys):
+    # blocks n = 0 .. n_max + 1 give the polynomials and the leading minors
+    # phi_0 .. phi_{n_max+1}; no kernel or separate determinant is taken
+    from kralldh import constructors, exact
+
+    calls = []
+    cofactor_row = constructors.cofactor_row
+
+    def counting_cofactor_row(rows):
+        calls.append(rows)
+        return cofactor_row(rows)
+
+    def forbidden(*args):
+        raise AssertionError("the construction takes no kernel or determinant")
+
+    monkeypatch.setattr(constructors, "cofactor_row", counting_cofactor_row)
+    for name in ("nullspace_exact", "det_exact"):
+        monkeypatch.setattr(exact, name, forbidden)
+    for rep in ("basic", "dropped", "shifted", "mirror"):
+        for U in ((), (-5, 8)):
+            argv = ["generate", "--a", "4", "--b", "3", "--N", "8", "--M", "3/2,5,7",
+                    "--rep", rep, "--G", "4,5,6"]
+            if U:
+                argv.append("--U=" + ",".join(map(str, U)))
+            calls.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            n_max = len(json.loads(out)["polys"]) - 1
+            assert len(calls) == n_max + 2
 
 
 def test_identities_suite_builds_each_measure_once(monkeypatch, capsys):

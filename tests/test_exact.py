@@ -10,6 +10,7 @@ from kralldh.exact import (
     PoleAtZeroError,
     Polynomial,
     RationalFunction,
+    cofactor_row,
     det_exact,
     det_with_poly_row,
     involution,
@@ -176,6 +177,10 @@ def test_det_with_poly_row_equals_cofactor_reference(kind, data):
     k = len(rows)
     got = det_with_poly_row(top, rows)
     assert got == det_with_poly_row_reference(top, rows)
+    assert cofactor_row(rows) == [
+        F((-1) ** j) * det_cofactor([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(k + 1)
+    ]
     if kind == "equal-rows":
         assert got.is_zero
     elif kind != "generic":

@@ -3,8 +3,9 @@
 The pinned grid is `generate` for three sizes, every representation and
 no, one or two Christoffel points, plus one CSV case, `verify --suite
 all`, the (1,1), (2,1) and (2,2) operator certificates, and the limit and
-identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1), and the
-limit suite at (8,5,16) and the flip suite at (4,7,9).  Each file
+identity suites at (a,b,N) = (4,2,6), M = (3/2, 5), U = (1), the
+limit suite at (8,5,16), the flip suite at (4,7,9), and CSV `generate`
+at (6,4,12), U = (-7), for the basic and mirror representations.  Each file
 under tests/golden/ holds the exit code on its first line and the exact
 stdout after it.
 After a deliberate output change, rewrite the files with
@@ -65,6 +66,12 @@ def golden_cases() -> dict:
         "verify", "--suite", "flip", "--a", "4", "--b", "7", "--N", "9",
         "--M", "2,3/5,7,11/3",
     ]
+    # the top of the generate-fresh benchmark ladder, with the lead column
+    # first (basic) and last (mirror); "wide_" sorts after every other name
+    for rep in ("basic", "mirror"):
+        cases[f"wide_generate_6_4_12_{rep}_csv"] = _generate_argv(
+            6, 4, 12, "2,1/2,3,5/7", rep, (-7,)
+        ) + ["--format", "csv"]
     for suite in ("limits", "identities"):
         cases[f"verify_{suite}_4_2_6"] = [
             "verify", "--suite", suite, "--a", "4", "--b", "2", "--N", "6",
